@@ -108,18 +108,7 @@ func TestParallelPathsAllocFree(t *testing.T) {
 				e.startWorkers()
 				defer e.stopWorkers()
 				step := func() {
-					leader, decl := e.pickLeader()
-					e.recordDeclines(decl, 1)
-					if leader == nil {
-						if err := e.conservativeCycle(); err != nil {
-							t.Fatal(err)
-						}
-						if err := e.batchConservative(1<<30, decl); err != nil {
-							t.Fatal(err)
-						}
-						return
-					}
-					if _, err := e.transition(leader, 1<<30); err != nil {
+					if err := e.step(1 << 30); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -223,18 +212,7 @@ func TestBatchedPathsAllocFree(t *testing.T) {
 			defer cancel()
 			e.done = ctx.Done()
 			step := func() {
-				leader, decl := e.pickLeader()
-				e.recordDeclines(decl, 1)
-				if leader == nil {
-					if err := e.conservativeCycle(); err != nil {
-						t.Fatal(err)
-					}
-					if err := e.batchConservative(1<<30, decl); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				if _, err := e.transition(leader, 1<<30); err != nil {
+				if err := e.step(1 << 30); err != nil {
 					t.Fatal(err)
 				}
 			}

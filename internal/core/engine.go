@@ -229,6 +229,16 @@ const DefaultCycleBatch = 64
 // growing.
 const DefaultDeltaCadence = 16
 
+// ModelVersion names the engine's modeled behaviour: the canonical
+// report it produces for a given design and run. Spec.CanonicalHash
+// mixes it into every run identity, so a cache, store, fleet member or
+// resume journal filled by an engine that reports differently misses
+// instead of serving stale bytes. Bump it with any change that alters
+// the canonical report of some spec. Version 2: the wait model's
+// Predict became side-effect-free, changing the rollback statistics of
+// every design with a waited remote slave.
+const ModelVersion = 2
+
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.SimSpeed == 0 {
@@ -741,12 +751,12 @@ func (e *Engine) batchConservative(cycles int64, decl declinePair) error {
 type declinePair [2]DeclineReason
 
 // pickLeader picks the leading domain for the next transition (nil for
-// a conservative cycle) and returns which predictors declined. Its
-// only side effects are the Predict calls the protocol performs
-// anyway; the caller records the declines — separating the choice from
-// its accounting is what lets a batched quiescent stretch, across
-// which the choice is provably constant, replicate the per-cycle
-// decline statistics exactly.
+// a conservative cycle) and returns which predictors declined. It has
+// no side effects: the Predict calls it probes are pure, so it may run
+// before the transition's snapshot. The caller records the declines —
+// separating the choice from its accounting is what lets a batched
+// quiescent stretch, across which the choice is provably constant,
+// replicate the per-cycle decline statistics exactly.
 func (e *Engine) pickLeader() (*Domain, declinePair) {
 	var decl declinePair
 	if e.cfg.Adaptive && e.failEWMA > e.cfg.AdaptiveThreshold {
@@ -1188,6 +1198,28 @@ func (e *Engine) exchangeReport(lagger *Domain, success bool, idx int, actual am
 	return success, idx, actual, nil
 }
 
+// step runs one iteration of the cycle loop of a run that ends at
+// cycles committed: a leader choice, then either the transition it
+// opens or a conservative cycle.
+func (e *Engine) step(cycles int64) error {
+	leader, decl := e.pickLeader()
+	e.recordDeclines(decl, 1)
+	if leader == nil {
+		if err := e.conservativeCycle(); err != nil {
+			return err
+		}
+		// Predicted-quiescence fast path: extend the cycle across an
+		// idle stretch in one batched step.
+		return e.batchConservative(cycles, decl)
+	}
+	n, err := e.transition(leader, cycles-e.stats.Committed)
+	if err != nil {
+		return err
+	}
+	e.transLen.Add(int(n))
+	return nil
+}
+
 // Run executes the co-emulation for the given number of target cycles
 // and returns the report.
 func (e *Engine) Run(cycles int64) (*Report, error) {
@@ -1208,24 +1240,9 @@ func (e *Engine) RunContext(ctx context.Context, cycles int64) (*Report, error) 
 	e.startWorkers()
 	defer e.stopWorkers()
 	for e.stats.Committed < cycles {
-		leader, decl := e.pickLeader()
-		e.recordDeclines(decl, 1)
-		if leader == nil {
-			if err := e.conservativeCycle(); err != nil {
-				return nil, e.runErr(ctx, err)
-			}
-			// Predicted-quiescence fast path: extend the cycle across
-			// an idle stretch in one batched step.
-			if err := e.batchConservative(cycles, decl); err != nil {
-				return nil, e.runErr(ctx, err)
-			}
-			continue
-		}
-		n, err := e.transition(leader, cycles-e.stats.Committed)
-		if err != nil {
+		if err := e.step(cycles); err != nil {
 			return nil, e.runErr(ctx, err)
 		}
-		e.transLen.Add(int(n))
 	}
 	if e.cfg.Tracer != nil {
 		e.flushConsTrace()

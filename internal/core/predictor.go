@@ -139,7 +139,10 @@ func (p *remotePredictor) Predict() (amba.PartialState, DeclineReason) {
 }
 
 // PredictInto is Predict writing the prediction through dst (zeroed on
-// decline) — the engine deposits it straight into a LOB entry.
+// decline) — the engine deposits it straight into a LOB entry. Like
+// Predict it has no side effects: every component predictor it consults
+// is pure, so a predictor that only predicted stays clean for delta
+// snapshots.
 func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 	out := dst
 	*out = amba.PartialState{
@@ -199,9 +202,6 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 				*out = amba.PartialState{}
 				return DeclineNoModel
 			}
-			// wm.Predict advances the wait model, so the predictor is
-			// dirty from here on even if no Observe follows.
-			p.dirty = true
 			out.HasReply = true
 			out.Reply = amba.SlaveReply{Ready: wm.Predict(), Resp: amba.RespOkay}
 		}

@@ -276,8 +276,12 @@ func (t *BurstTracker) Restore(s any) {
 // WaitModel predicts a slave's HREADY sequence with the same
 // producer-consumer wait machinery the deterministic memory slaves run:
 // the first beat of a run costs First wait states, later beats cost
-// Next. Observe keeps the model aligned with reality on conservative
-// cycles and during roll-forth.
+// Next. Predict is side-effect-free; Observe is the model's only state
+// transition, once per committed data-phase cycle, exactly as the
+// slave's own Respond/Commit pair advances it. That keeps the model in
+// phase however often the engine predicts a cycle (the leader choice
+// probes it, the run-ahead predicts it again) and makes roll-forth,
+// which replays only Observe, restore it exactly.
 type WaitModel struct {
 	First, Next int
 
@@ -295,41 +299,31 @@ func NewWaitModel(first, next int) *WaitModel {
 	return &WaitModel{First: first, Next: next, st: waitState{WaitLeft: -1}}
 }
 
-// begin initializes the countdown for a new beat if none is in progress.
-func (w *WaitModel) begin() {
-	if w.st.WaitLeft < 0 {
-		if w.st.InBurst {
-			w.st.WaitLeft = w.Next
-		} else {
-			w.st.WaitLeft = w.First
-		}
+// waitLeft returns the wait states the beat in the data phase still
+// owes, starting a fresh countdown when no beat is in progress.
+func (w *WaitModel) waitLeft() int {
+	switch {
+	case w.st.WaitLeft >= 0:
+		return w.st.WaitLeft
+	case w.st.InBurst:
+		return w.Next
+	default:
+		return w.First
 	}
 }
 
 // Predict returns the predicted HREADY for the beat currently in the
-// data phase and advances the model as if the prediction were true.
-func (w *WaitModel) Predict() bool {
-	w.begin()
-	if w.st.WaitLeft > 0 {
-		w.st.WaitLeft--
-		return false
-	}
-	w.st.WaitLeft = -1
-	w.st.InBurst = true
-	return true
-}
+// data phase: ready once the beat owes no more wait states.
+func (w *WaitModel) Predict() bool { return w.waitLeft() == 0 }
 
-// Observe aligns the model with the actual HREADY of a data-phase cycle.
+// Observe advances the model by the actual HREADY of a data-phase cycle.
 func (w *WaitModel) Observe(ready bool) {
-	w.begin()
 	if ready {
 		w.st.WaitLeft = -1
 		w.st.InBurst = true
 		return
 	}
-	if w.st.WaitLeft > 0 {
-		w.st.WaitLeft--
-	}
+	w.st.WaitLeft = max(w.waitLeft()-1, 0)
 }
 
 // Save implements rollback.Snapshotter.

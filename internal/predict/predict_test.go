@@ -1,9 +1,11 @@
 package predict
 
 import (
+	"reflect"
 	"testing"
 
 	"coemu/internal/amba"
+	"coemu/internal/ip"
 )
 
 func TestLastValue(t *testing.T) {
@@ -93,21 +95,45 @@ func TestBurstTrackerSnapshot(t *testing.T) {
 	}
 }
 
+// TestWaitModelMirrorsMemoryProfile drives a WaitModel the way the
+// engine does — Predict, then Observe the actual HREADY — in lockstep
+// with a real ip.Memory driven Respond/Commit, and requires the
+// predicted HREADY to match the memory's on every data-phase cycle, for
+// every small wait profile, across back-to-back bursts. Each cycle also
+// checks purity: a second Predict agrees with the first and neither
+// moves the model's state.
 func TestWaitModelMirrorsMemoryProfile(t *testing.T) {
-	w := NewWaitModel(2, 1)
-	// First beat: 2 waits then ready.
-	if w.Predict() || w.Predict() {
-		t.Fatal("first two cycles must be waits")
-	}
-	if !w.Predict() {
-		t.Fatal("third cycle must be ready")
-	}
-	// Next beat: 1 wait then ready.
-	if w.Predict() {
-		t.Fatal("next beat first cycle must wait")
-	}
-	if !w.Predict() {
-		t.Fatal("next beat second cycle must be ready")
+	const bursts, beats = 3, 4
+	for first := 0; first <= 4; first++ {
+		for next := 0; next <= 4; next++ {
+			w := NewWaitModel(first, next)
+			m := ip.NewMemory("mem", first, next)
+			ap := amba.AddrPhase{Trans: amba.TransNonSeq, Write: true, Size: amba.Size32, Burst: amba.BurstIncr4}
+			for done, cycle := 0, 0; done < bursts*beats; cycle++ {
+				before := w.Save()
+				pred := w.Predict()
+				if again := w.Predict(); again != pred {
+					t.Fatalf("(%d,%d) cycle %d: Predict not repeatable: %v then %v", first, next, cycle, pred, again)
+				}
+				if after := w.Save(); !reflect.DeepEqual(before, after) {
+					t.Fatalf("(%d,%d) cycle %d: Predict moved the model: %+v -> %+v", first, next, cycle, before, after)
+				}
+				ready := m.Respond(ap).Ready
+				if pred != ready {
+					t.Fatalf("(%d,%d) cycle %d (beat %d): predicted HREADY %v, memory drove %v", first, next, cycle, done, pred, ready)
+				}
+				m.Commit(ready)
+				w.Observe(ready)
+				if ready {
+					done++
+					ap.Addr += 4
+					ap.Trans = amba.TransSeq
+					if done%beats == 0 {
+						ap.Trans = amba.TransNonSeq
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -125,9 +151,11 @@ func TestWaitModelObserveRealigns(t *testing.T) {
 
 func TestWaitModelSnapshot(t *testing.T) {
 	w := NewWaitModel(3, 1)
-	w.Predict()
+	w.Observe(false)
 	s := w.Save()
 	a := w.Predict()
+	w.Observe(false)
+	w.Observe(false)
 	w.Restore(s)
 	b := w.Predict()
 	if a != b {

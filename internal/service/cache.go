@@ -27,16 +27,27 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, order: list.New(), byKey: make(map[string]*list.Element)}
 }
 
-// Get returns the cached result for key, marking it most recently used.
-func (c *resultCache) Get(key string) (*Result, bool) {
+// Get returns the cached result for key, marking it most recently used
+// and counting the hit or miss.
+func (c *resultCache) Get(key string) (*Result, bool) { return c.lookup(key, true) }
+
+// lookup is Get with the hit/miss count optional: a repeated lookup of
+// a request whose first lookup was already counted must not count
+// again.
+func (c *resultCache) lookup(key string, count bool) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
+	if count {
+		if ok {
+			c.hits++
+		} else {
+			c.misses++
+		}
+	}
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).res, true
 }

@@ -11,6 +11,7 @@ import (
 	"coemu/internal/faultplan"
 	"coemu/internal/metrics"
 	"coemu/internal/spec"
+	"coemu/internal/store"
 )
 
 // monotoneFields lists the Counters fields that may never decrease
@@ -104,6 +105,64 @@ func TestCountersConsistentUnderLoad(t *testing.T) {
 	case err := <-snapErr:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestCacheMissIdentity pins the cache accounting over a scripted
+// submission sequence: every counted cache miss is answered by exactly
+// one of an engine run, a persistent-store hit or a join onto an
+// in-flight duplicate, so
+//
+//	cache_misses == engine_runs + store_hits + in-flight joins.
+//
+// The sequence covers fresh runs, memory-cache hits, in-flight joins,
+// and — on a second service over the same store — store hits and fresh
+// runs whose submission probes the store and re-checks the memory
+// layers.
+func TestCacheMissIdentity(t *testing.T) {
+	dir := t.TempDir()
+	totalJoins := int64(0)
+	for round, script := range [][]int64{
+		{2000, 2000, 150000, 150000, 150000, 3000},
+		{2000, 2000, 150000, 4000, 4000},
+	} {
+		disk, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := New(Options{Workers: 1, Store: disk})
+		seen := map[*Job]bool{}
+		joins := int64(0)
+		var jobs []*Job
+		for _, cycles := range script {
+			job, err := svc.Submit(testSpec(t, cycles), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[job] {
+				joins++
+			}
+			seen[job] = true
+			jobs = append(jobs, job)
+		}
+		for _, job := range jobs {
+			if _, err := job.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		totalJoins += joins
+		c := svc.Counters()
+		svc.Close()
+		if c.CacheMisses != c.EngineRuns+c.StoreHits+joins {
+			t.Fatalf("round %d: cache_misses %d != engine_runs %d + store_hits %d + joins %d",
+				round, c.CacheMisses, c.EngineRuns, c.StoreHits, joins)
+		}
+		if round == 1 && c.StoreHits == 0 {
+			t.Fatal("second round served nothing from the store; the script proves less than it claims")
+		}
+	}
+	if totalJoins == 0 {
+		t.Fatal("no submission joined an in-flight duplicate; the script proves less than it claims")
 	}
 }
 

@@ -310,7 +310,7 @@ func (s *Service) Submit(sp *spec.Spec, ephemeral bool) (*Job, error) {
 	}
 
 	s.mu.Lock()
-	if job, err, handled := s.submitFastLocked(sp, hash, ephemeral); handled {
+	if job, err, handled := s.submitFastLocked(sp, hash, ephemeral, false); handled {
 		s.mu.Unlock()
 		return job, err
 	}
@@ -321,7 +321,8 @@ func (s *Service) Submit(sp *spec.Spec, ephemeral bool) (*Job, error) {
 	// is file I/O and must not stall job bookkeeping. The memory layers
 	// are re-checked under the lock afterwards, so whatever landed in
 	// the meantime (a finished duplicate, an in-flight submission)
-	// still wins.
+	// still wins. The re-check does not count a second cache miss: one
+	// submission is one cache lookup in the counters.
 	var stored *Result
 	if probeDisk {
 		rstart := time.Now()
@@ -333,7 +334,7 @@ func (s *Service) Submit(sp *spec.Spec, ephemeral bool) (*Job, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if job, err, handled := s.submitFastLocked(sp, hash, ephemeral); handled {
+	if job, err, handled := s.submitFastLocked(sp, hash, ephemeral, true); handled {
 		return job, err
 	}
 	if stored != nil {
@@ -362,8 +363,10 @@ func (s *Service) Submit(sp *spec.Spec, ephemeral bool) (*Job, error) {
 
 // submitFastLocked resolves a submission against the in-memory layers
 // — shutdown state, the result cache, and in-flight duplicates — and
-// reports whether it was handled. Caller holds s.mu.
-func (s *Service) submitFastLocked(sp *spec.Spec, hash string, ephemeral bool) (*Job, error, bool) {
+// reports whether it was handled. A recheck repeats an earlier, counted
+// lookup of the same submission and leaves the cache counters alone.
+// Caller holds s.mu.
+func (s *Service) submitFastLocked(sp *spec.Spec, hash string, ephemeral, recheck bool) (*Job, error, bool) {
 	if s.closed {
 		return nil, ErrClosed, true
 	}
@@ -374,7 +377,7 @@ func (s *Service) submitFastLocked(sp *spec.Spec, hash string, ephemeral bool) (
 		// lands in the cache for untraced duplicates.
 		return nil, nil, false
 	}
-	if res, ok := s.cache.Get(hash); ok {
+	if res, ok := s.cache.lookup(hash, !recheck); ok {
 		return s.newCachedJobLocked(sp, hash, res, false), nil, true
 	}
 	if job, ok := s.inflight[hash]; ok {

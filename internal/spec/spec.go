@@ -460,14 +460,29 @@ func (s *Spec) Normalized() (*Spec, error) {
 }
 
 // CanonicalHash returns the deterministic identity of the run the spec
-// describes: a sha256 over the canonical JSON encoding of the
-// normalized spec with the non-semantic Name stripped. Two specs with
-// equal hashes compile to runs with bit-identical reports, which is
-// what the job service's result cache keys on.
+// describes: a sha256 over the engine's core.ModelVersion followed by
+// the canonical JSON encoding of the normalized spec with the
+// non-semantic Name stripped. Two specs with equal hashes compile to
+// runs with bit-identical reports, which is what the job service's
+// result cache keys on; the version salt keeps that true across
+// binaries whose engines report differently.
 func (s *Spec) CanonicalHash() (string, error) {
-	n, err := s.Normalized()
+	b, err := s.canonicalJSON()
 	if err != nil {
 		return "", err
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "coemu-model-v%d\n", core.ModelVersion)
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// canonicalJSON is the canonical encoding CanonicalHash digests: the
+// normalized spec with the name and every host-side knob stripped.
+func (s *Spec) canonicalJSON() ([]byte, error) {
+	n, err := s.Normalized()
+	if err != nil {
+		return nil, err
 	}
 	n.Name = ""
 	// CycleBatch and DeltaCadence are host-side knobs: the engine's
@@ -505,8 +520,7 @@ func (s *Spec) CanonicalHash() (string, error) {
 	n.Run.MeasuredLatency = false
 	b, err := json.Marshal(n)
 	if err != nil {
-		return "", fmt.Errorf("spec: canonical encode: %w", err)
+		return nil, fmt.Errorf("spec: canonical encode: %w", err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return b, nil
 }

@@ -1,7 +1,10 @@
 package spec
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -158,6 +161,30 @@ func TestCanonicalHashDeterministic(t *testing.T) {
 	}
 	if hc != ha {
 		t.Fatalf("equivalent spec hashed differently: %s vs %s", hc, ha)
+	}
+}
+
+// TestCanonicalHashIsModelSalted checks that the hash is not the bare
+// sha256 of the canonical JSON: the engine's model version is mixed
+// in, so results keyed by an older engine's hashes miss instead of
+// being served.
+func TestCanonicalHashIsModelSalted(t *testing.T) {
+	s := parseOK(t, streamSpecJSON)
+	h, err := s.CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.canonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := sha256.Sum256(b)
+	if h == hex.EncodeToString(bare[:]) {
+		t.Fatal("canonical hash is the unsalted sha256 of the canonical JSON")
+	}
+	salted := sha256.Sum256(append([]byte(fmt.Sprintf("coemu-model-v%d\n", core.ModelVersion)), b...))
+	if h != hex.EncodeToString(salted[:]) {
+		t.Fatalf("canonical hash %s is not the model-salted digest %x", h, salted)
 	}
 }
 

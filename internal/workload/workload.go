@@ -463,14 +463,26 @@ type cpuSnap struct {
 }
 
 // Save implements rollback.Snapshotter.
-func (c *CPU) Save() any {
+func (c *CPU) Save() any { return c.SaveInto(nil) }
+
+// SaveInto implements rollback.InPlaceSnapshotter, recycling prev — the
+// snapshot struct and the RNG state boxed inside it — when it came from
+// an earlier Save/SaveInto of a CPU generator.
+func (c *CPU) SaveInto(prev any) any {
+	s, ok := prev.(*cpuSnap)
+	if !ok {
+		s = new(cpuSnap)
+	}
 	c.pool.saved(c.issued)
-	return cpuSnap{Rng: c.r.Save(), Issued: c.issued, Beat: c.beat}
+	s.Rng = c.r.SaveInto(s.Rng)
+	s.Issued = c.issued
+	s.Beat = c.beat
+	return s
 }
 
 // Restore implements rollback.Snapshotter.
 func (c *CPU) Restore(v any) {
-	s, ok := v.(cpuSnap)
+	s, ok := v.(*cpuSnap)
 	if !ok {
 		panic(fmt.Sprintf("workload: cpu: bad snapshot %T", v))
 	}
