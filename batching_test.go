@@ -7,6 +7,7 @@ import (
 
 	"coemu"
 	"coemu/internal/service"
+	"coemu/internal/trace"
 )
 
 // Differential tests for the predicted-quiescence cycle batching and
@@ -67,15 +68,47 @@ func runSpec(t *testing.T, sp *coemu.Spec, mutate func(*coemu.Config)) ([]byte, 
 	return b, rep
 }
 
-// TestBatchSweepBitIdentical sweeps the batch cap over every example
-// spec and asserts bit-identical reports — and, explicitly, identical
+// batchCase is one row of the batch-cap sweep: a spec plus config
+// overrides applied to the reference and to every swept run alike.
+type batchCase struct {
+	sp     *coemu.Spec
+	mutate func(*coemu.Config)
+}
+
+// batchCases is every example spec as written, plus multimaster on the
+// engine paths no example selects: lockstep conservative mode,
+// paper-strict transitions and an attached protocol tracer.
+func batchCases(t *testing.T) map[string]batchCase {
+	t.Helper()
+	specs := exampleSpecs(t)
+	cases := make(map[string]batchCase, len(specs)+3)
+	for name, sp := range specs {
+		cases[name] = batchCase{sp: sp}
+	}
+	mm := specs["multimaster"]
+	cases["multimaster/conservative"] = batchCase{mm, func(c *coemu.Config) { c.Mode = coemu.Conservative }}
+	cases["multimaster/paper-strict"] = batchCase{mm, func(c *coemu.Config) { c.PaperStrictTransitions = true }}
+	cases["multimaster/traced"] = batchCase{mm, func(c *coemu.Config) { c.Tracer = trace.NewRecorder(1 << 16) }}
+	return cases
+}
+
+// TestBatchSweepBitIdentical sweeps the batch cap over every batch
+// case and asserts bit-identical reports — and, explicitly, identical
 // rollback counts — against the single-step reference (CycleBatch=1).
 func TestBatchSweepBitIdentical(t *testing.T) {
-	for name, sp := range exampleSpecs(t) {
+	for name, bc := range batchCases(t) {
 		t.Run(name, func(t *testing.T) {
-			want, wantRep := runSpec(t, sp, func(c *coemu.Config) { c.CycleBatch = 1 })
+			run := func(k int) ([]byte, *coemu.Report) {
+				return runSpec(t, bc.sp, func(c *coemu.Config) {
+					if bc.mutate != nil {
+						bc.mutate(c)
+					}
+					c.CycleBatch = k
+				})
+			}
+			want, wantRep := run(1)
 			for _, k := range batchSweep[1:] {
-				got, gotRep := runSpec(t, sp, func(c *coemu.Config) { c.CycleBatch = k })
+				got, gotRep := run(k)
 				if gotRep.Stats.Rollbacks != wantRep.Stats.Rollbacks {
 					t.Errorf("K=%d: %d rollbacks, single-step has %d",
 						k, gotRep.Stats.Rollbacks, wantRep.Stats.Rollbacks)

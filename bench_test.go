@@ -435,35 +435,12 @@ func BenchmarkHostThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(benchCycles)*float64(b.N)/b.Elapsed().Seconds(), "target-cyc/s")
 	})
-	b.Run("als-workers4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := coemu.Run(d, coemu.Config{Mode: coemu.ALS, Workers: 4}, benchCycles); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(benchCycles)*float64(b.N)/b.Elapsed().Seconds(), "target-cyc/s")
-	})
-	// multimaster is the parallel cycle loop's target workload: four
-	// masters split across both buses, so Workers=4 engages the domain
-	// pipeline and the per-bus drive fan-out. The workers4 variants back
-	// the benchdiff scaling gate (see BENCH_baseline.json "scaling"):
-	// on a multi-core runner workers=4 must beat workers=1 by the
-	// configured floor, while workers=1 stays inside the plain
-	// regression envelope.
+	// multimaster arbitrates several masters split across both buses,
+	// with an interrupt peripheral and organic rollbacks in auto mode.
 	mmd, mmCfg := multimasterDesign(b)
 	b.Run("multimaster", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := coemu.Run(mmd, mmCfg, benchCycles); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(benchCycles)*float64(b.N)/b.Elapsed().Seconds(), "target-cyc/s")
-	})
-	b.Run("multimaster-workers4", func(b *testing.B) {
-		cfg := mmCfg
-		cfg.Workers = 4
-		for i := 0; i < b.N; i++ {
-			if _, err := coemu.Run(mmd, cfg, benchCycles); err != nil {
 				b.Fatal(err)
 			}
 		}

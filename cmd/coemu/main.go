@@ -31,10 +31,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"coemu"
 	"coemu/internal/channel"
@@ -59,7 +61,6 @@ func main() {
 	predictIdle := flag.Bool("predict-idle", false, "extension: predict idle continuation of remote masters")
 	predictStarts := flag.Bool("predict-starts", false, "extension: predict burst starts by stride")
 	adaptive := flag.Bool("adaptive", false, "extension: adaptive conservative fallback governor")
-	workers := flag.Int("workers", 0, "engine worker goroutines (0 = spec/default, 1 = sequential; reports are bit-identical at any width)")
 	specPath := flag.String("spec", "", "run a declarative JSON spec file (ignores the scenario flags)")
 	remoteDomain := flag.String("remote-domain", "", "dial a `coemud -domain-serve` accelerator-domain host at this TCP address and run -spec cross-process")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event file (Perfetto-loadable) of the run's protocol events")
@@ -117,9 +118,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Tracer = rec
-		if *workers > 0 {
-			cfg.Workers = *workers
-		}
 		rep, err := coemu.Run(d, cfg, s.Run.Cycles)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -164,7 +162,6 @@ func main() {
 		PredictIdle:  *predictIdle, PredictBurstStarts: *predictStarts,
 		Adaptive: *adaptive,
 		Tracer:   rec,
-		Workers:  *workers,
 	}
 	rep, err := coemu.Run(design, cfg, *cycles)
 	if err != nil {
@@ -354,8 +351,8 @@ func print(rep *coemu.Report) {
 		s.ChecksTotal, s.Mispredicts, s.Injected)
 	if len(s.Declines) > 0 {
 		fmt.Println("  decline reasons:")
-		for r, n := range s.Declines {
-			fmt.Printf("    %-48s %d\n", r, n)
+		for _, r := range sortedKeys(s.Declines) {
+			fmt.Printf("    %-48s %d\n", r, s.Declines[r])
 		}
 	}
 
@@ -377,4 +374,15 @@ func print(rep *coemu.Report) {
 		fmt.Printf("roll-forth length: mean %.1f cycles, max %d\n",
 			rep.RollForthLengths.Mean(), rep.RollForthLengths.Quantile(1))
 	}
+}
+
+// sortedKeys returns m's keys in ascending order, so map-backed report
+// sections print deterministically.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -23,7 +23,9 @@ var deltaSweep = []int{1, 4, 16}
 // TestDeltaSweepBitIdentical sweeps the snapshot cadence over every
 // example spec and asserts bit-identical reports — and, explicitly,
 // identical store/restore charge counts — against the full-save
-// reference (DeltaCadence=1).
+// reference (DeltaCadence=1). A last row crosses the full-save
+// reference with single-step batching, so every host fast path is off
+// at once.
 func TestDeltaSweepBitIdentical(t *testing.T) {
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -40,6 +42,10 @@ func TestDeltaSweepBitIdentical(t *testing.T) {
 					t.Errorf("cadence=%d report differs from full-save:\ncadence=%d: %s\ncadence=1: %s", k, k, got, want)
 				}
 			}
+			slow, _ := runSpec(t, sp, func(c *coemu.Config) { c.DeltaCadence = 1; c.CycleBatch = 1 })
+			if string(slow) != string(want) {
+				t.Errorf("cadence=1 batch=1 report differs from cadence=1 batch=default:\nbatch=1: %s\ndefault: %s", slow, want)
+			}
 		})
 	}
 }
@@ -54,6 +60,9 @@ func TestDeltaSweepUnderInjectedFaultStorm(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			inject := func(c *coemu.Config) { c.Accuracy = 0.5; c.FaultSeed = 3 }
 			want, wantRep := runSpec(t, sp, func(c *coemu.Config) { inject(c); c.DeltaCadence = 1 })
+			if sp.Run.Mode != "conservative" && wantRep.Stats.Rollbacks == 0 {
+				t.Fatal("fault storm produced no rollbacks; the sweep would prove nothing")
+			}
 			for _, k := range deltaSweep[1:] {
 				got, gotRep := runSpec(t, sp, func(c *coemu.Config) { inject(c); c.DeltaCadence = k })
 				if gotRep.Stats.Rollbacks != wantRep.Stats.Rollbacks {

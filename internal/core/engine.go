@@ -13,12 +13,9 @@
 // restores its pre-transition state and replays to the lagger's
 // progress point using the recorded values).
 //
-// Execution is deterministic — sequential by default, and under
-// Config.Workers > 1 parallel across a small worker pool with
-// bit-identical reports (see parallel.go for the ownership
-// discipline); domain and channel time are charged to a virtual wall
-// clock whose total defines the "simulation performance" metric of the
-// paper's Table 2 and Figure 4.
+// Execution is sequential and deterministic; domain and channel time
+// are charged to a virtual wall clock whose total defines the
+// "simulation performance" metric of the paper's Table 2 and Figure 4.
 //
 // # Predicted-quiescence cycle batching
 //
@@ -47,7 +44,6 @@ import (
 	"coemu/internal/channel"
 	"coemu/internal/device"
 	"coemu/internal/faultplan"
-	"coemu/internal/par"
 	"coemu/internal/predict"
 	"coemu/internal/rollback"
 	"coemu/internal/stats"
@@ -199,21 +195,6 @@ type Config struct {
 	// with and without it, recording never allocates, and a nil Tracer
 	// costs one pointer check per event site.
 	Tracer *trace.Recorder
-	// Workers sets the host parallelism of the cycle loop. 1 (the
-	// default) is the sequential engine. Above 1 the engine runs the
-	// two domains' evaluate/commit steps on separate goroutines within
-	// each conservative cycle and pipelines the leader's run-ahead with
-	// the lagger's follow-up within each transition; at 4 and above it
-	// additionally fans each bus's master drives across a lane pair.
-	// It is a host-side knob exactly like CycleBatch and DeltaCadence:
-	// reports are bit-identical for every setting (every cross-thread
-	// effect is either owner-partitioned state or a commutative sum —
-	// see the parallel cycle-loop section of ARCHITECTURE.md), so the
-	// spec layer excludes it from the canonical hash. The engine never
-	// clamps it to GOMAXPROCS: determinism at every width is part of
-	// the contract, and the differential CI matrix runs Workers=4 at
-	// GOMAXPROCS=1 to prove it.
-	Workers int
 }
 
 // DefaultCycleBatch is the predicted-quiescence batch cap used when
@@ -273,9 +254,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeltaCadence == 0 {
 		c.DeltaCadence = DefaultDeltaCadence
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
 	}
 	return c
 }
@@ -392,14 +370,6 @@ type Engine struct {
 	// ready, so the per-cycle check costs one non-blocking select).
 	done <-chan struct{}
 
-	// pool is the cycle-loop worker pool of a Workers>1 engine, live
-	// only inside an active RunContext (startWorkers/stopWorkers own
-	// the goroutine lifecycle, so an engine that never runs leaks
-	// nothing). par is the preallocated cross-goroutine state of the
-	// parallel paths; see parallel.go for the ownership discipline.
-	pool *par.Pool
-	par  parState
-
 	// consRunStart and consRunN coalesce contiguous conservative cycles
 	// into one trace span: per-cycle events would flood the tracer ring
 	// during long conservative stretches. The open span is flushed when
@@ -460,9 +430,6 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 	}
 	if cfg.DeltaCadence < 1 {
 		return nil, fmt.Errorf("core: delta cadence %d < 1 (0 selects the default, 1 disables delta snapshots)", cfg.DeltaCadence)
-	}
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("core: workers %d < 1 (0 selects the default, 1 runs sequentially)", cfg.Workers)
 	}
 	if cfg.ChannelFaults != nil {
 		if err := (&faultplan.Plan{Channel: cfg.ChannelFaults}).Validate(); err != nil {
@@ -639,9 +606,6 @@ func (e *Engine) recvPartial(d channel.Dir, sent *amba.PartialState, irqMask uin
 // committed template (per-domain contributions and merged state) is
 // recorded for the conservative batching fast path.
 func (e *Engine) conservativeCycle() error {
-	if e.pool != nil {
-		return e.conservativeCycleParallel()
-	}
 	if e.canceled() {
 		return errCanceled
 	}
@@ -847,9 +811,6 @@ func (e *Engine) slaveDomain(i int) DomainID {
 // transition runs one full optimistic transition with the given leader.
 // It returns the number of target cycles committed.
 func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
-	if e.pipelineOK() {
-		return e.transitionPipelined(leader, budget)
-	}
 	lagger := e.domains[leader.ID().Other()]
 	e.stats.Transitions++
 	e.stats.TransitionsByLead[leader.ID()]++
@@ -1237,8 +1198,6 @@ func (e *Engine) RunContext(ctx context.Context, cycles int64) (*Report, error) 
 	}
 	e.done = ctx.Done()
 	defer func() { e.done = nil }()
-	e.startWorkers()
-	defer e.stopWorkers()
 	for e.stats.Committed < cycles {
 		if err := e.step(cycles); err != nil {
 			return nil, e.runErr(ctx, err)

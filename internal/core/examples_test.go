@@ -96,29 +96,43 @@ func TestPredictIntoIsPure(t *testing.T) {
 	}
 }
 
-// TestMultimasterStepAllocFree extends the engine's zero-alloc guards
-// (alloc_test.go) to the multimaster example: arbitration among three
-// masters, a randomized CPU generator, an interrupt peripheral and
-// rollbacks in auto mode. Once warm, a step of its cycle loop — the
-// once-per-transition store of every component included — must not
-// allocate.
-func TestMultimasterStepAllocFree(t *testing.T) {
+// TestExampleStepsAllocFree extends the engine's zero-alloc guards
+// (alloc_test.go) to every example spec in every mode: arbitration
+// among several masters, randomized and copying generators, interrupt
+// peripherals, SPLIT slaves and organic rollbacks. Once warm, a step
+// of the cycle loop — the once-per-transition store of every
+// component included — must not allocate.
+func TestExampleStepsAllocFree(t *testing.T) {
 	const cycles = 1 << 30
-	e := exampleEngine(t, "multimaster", core.Auto)
-	// AllocsPerRun rounds down to whole objects per run, so each run
-	// covers 100 steps: a store that allocates on only some of them
-	// still shows.
-	steps := func() {
-		for i := 0; i < 100; i++ {
-			if err := e.Step(cycles); err != nil {
-				t.Fatal(err)
-			}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no example specs found")
+	}
+	for _, p := range paths {
+		name := filepath.Base(filepath.Dir(p))
+		for _, mode := range []core.Mode{core.Auto, core.ALS, core.SLA, core.Conservative} {
+			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
+				e := exampleEngine(t, name, mode)
+				// AllocsPerRun rounds down to whole objects per run, so
+				// each run covers 100 steps: a store that allocates on
+				// only some of them still shows.
+				steps := func() {
+					for i := 0; i < 100; i++ {
+						if err := e.Step(cycles); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for i := 0; i < 30; i++ {
+					steps()
+				}
+				if allocs := testing.AllocsPerRun(20, steps); allocs != 0 {
+					t.Fatalf("100 %s steps in %v mode allocated %.0f objects, want 0", name, mode, allocs)
+				}
+			})
 		}
-	}
-	for i := 0; i < 30; i++ {
-		steps()
-	}
-	if allocs := testing.AllocsPerRun(20, steps); allocs != 0 {
-		t.Fatalf("100 multimaster steps allocated %.0f objects, want 0", allocs)
 	}
 }

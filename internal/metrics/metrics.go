@@ -256,11 +256,7 @@ func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *Count
 // With returns the counter for the given label values (one per label
 // name, in order), creating it on first use.
 func (v *CounterVec) With(values ...string) *Counter {
-	ins := v.f.withLabels(values)
-	if ins.c == nil {
-		ins.c = &Counter{}
-	}
-	return ins.c
+	return v.f.withLabels(values).c
 }
 
 // GaugeVec is a family of gauges keyed by label values.
@@ -276,14 +272,13 @@ func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVe
 // With returns the gauge for the given label values, creating it on
 // first use.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	ins := v.f.withLabels(values)
-	if ins.g == nil {
-		ins.g = &Gauge{}
-	}
-	return ins.g
+	return v.f.withLabels(values).g
 }
 
 // withLabels resolves (or creates) the series for one label-value set.
+// A new series gets its counter or gauge under the family lock, so
+// concurrent first uses share one instrument and write never sees a
+// half-built series.
 func (f *family) withLabels(values []string) *instrument {
 	if len(values) != len(f.labelNames) {
 		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", f.name, len(f.labelNames), len(values)))
@@ -295,6 +290,12 @@ func (f *family) withLabels(values []string) *instrument {
 		return ins
 	}
 	ins := &instrument{labels: key}
+	switch f.kind {
+	case KindCounter:
+		ins.c = &Counter{}
+	case KindGauge:
+		ins.g = &Gauge{}
+	}
 	f.byLabels[key] = ins
 	f.series = append(f.series, ins)
 	sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })

@@ -15,12 +15,8 @@
 // them as non-predictable, and the scheme instead chooses the data
 // *source* domain as leader so data only flows leader→lagger.
 //
-// Predictors and injectors are single-goroutine state machines. Under
-// the engine's parallel cycle loop (core.Config.Workers) each domain's
-// predictor is owned by whichever goroutine runs that domain in the
-// current phase — the leader's on the coordinator during run-ahead, the
-// lagger's on the worker lane during follow-up — with the pool join
-// ordering every cross-phase handoff (see core/parallel.go).
+// Predictors and injectors are single-goroutine state machines, driven
+// by the engine's sequential cycle loop.
 package predict
 
 import (

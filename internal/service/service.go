@@ -16,11 +16,7 @@
 //
 // Concurrency model: engine runs are independent, so the pool runs up
 // to Workers of them in parallel (the cmd/sweep -j pattern); all job
-// bookkeeping is guarded by one service mutex. An engine run may itself
-// be parallel (run.workers > 1); the service clamps each engine to its
-// fair share of GOMAXPROCS so a full pool never oversubscribes the
-// host. The clamp is invisible in results: worker width never changes
-// a report.
+// bookkeeping is guarded by one service mutex.
 package service
 
 import (
@@ -202,13 +198,6 @@ type Service struct {
 	frngMu sync.Mutex
 	frng   *rng.Source
 
-	// engineWorkers caps each engine's Config.Workers so that, with all
-	// service workers busy, the process does not oversubscribe the host:
-	// max(1, GOMAXPROCS / Workers). A spec asking for more parallelism
-	// than its fair share is clamped, never rejected — run.workers is a
-	// host-side knob, so the clamp cannot change any reported result.
-	engineWorkers int
-
 	mu       sync.Mutex
 	closed   bool
 	seq      int64
@@ -240,10 +229,6 @@ func New(opts Options) *Service {
 		disk:     opts.Store,
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
-	}
-	s.engineWorkers = runtime.GOMAXPROCS(0) / opts.Workers
-	if s.engineWorkers < 1 {
-		s.engineWorkers = 1
 	}
 	if opts.Faults != nil {
 		s.frng = rng.New(faultplan.Mix(opts.Faults.Seed, 0x5e54))
@@ -719,7 +704,7 @@ func (s *Service) executeJob(job *Job, timeout time.Duration) (rep *core.Report,
 		job.tracer = rec
 	}
 	chf, seed := s.jobChannelFaults(job)
-	return runSpec(ctx, job.spec, chf, seed, rec, s.engineWorkers)
+	return runSpec(ctx, job.spec, chf, seed, rec)
 }
 
 // noteFaultInjected counts one service-layer fault actually fired by
@@ -816,15 +801,11 @@ func (s *Service) notifyLocked(job *Job) {
 // is a service-level channel fault plan applied to the engine (a
 // spec-level plan was already compiled in and is never overridden —
 // jobChannelFaults returns nil for those specs). rec, when non-nil,
-// attaches the protocol event tracer. maxWorkers clamps the engine's
-// run.workers request to the service's per-job fair share.
-func runSpec(ctx context.Context, sp *spec.Spec, chf *faultplan.ChannelFault, seed uint64, rec *trace.Recorder, maxWorkers int) (*core.Report, error) {
+// attaches the protocol event tracer.
+func runSpec(ctx context.Context, sp *spec.Spec, chf *faultplan.ChannelFault, seed uint64, rec *trace.Recorder) (*core.Report, error) {
 	d, cfg, err := sp.Compile()
 	if err != nil {
 		return nil, err
-	}
-	if maxWorkers >= 1 && cfg.Workers > maxWorkers {
-		cfg.Workers = maxWorkers
 	}
 	if chf != nil && cfg.ChannelFaults == nil {
 		cfg.ChannelFaults = chf

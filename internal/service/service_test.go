@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -329,23 +328,5 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	if !sawFull {
 		t.Fatal("queue never reported backpressure")
-	}
-}
-
-// TestEngineWorkersFairShare pins the oversubscription guard: each
-// engine's run.workers is clamped to GOMAXPROCS divided by the service
-// pool width, never below 1.
-func TestEngineWorkersFairShare(t *testing.T) {
-	maxprocs := runtime.GOMAXPROCS(0)
-	for _, poolWidth := range []int{1, 2, maxprocs, 4 * maxprocs} {
-		s := New(Options{Workers: poolWidth, CacheSize: -1})
-		want := maxprocs / poolWidth
-		if want < 1 {
-			want = 1
-		}
-		if s.engineWorkers != want {
-			t.Errorf("pool width %d: engineWorkers = %d, want %d", poolWidth, s.engineWorkers, want)
-		}
-		s.Close()
 	}
 }

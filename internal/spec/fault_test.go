@@ -84,8 +84,6 @@ func TestHostKnobsDoNotSplitCanonicalHash(t *testing.T) {
 		{"trace": true},
 		{"trace": true, "trace_ring": 4096},
 		{"trace_ring": 128, "timeout": "30s"},
-		{"workers": 4},
-		{"workers": 2, "trace": true, "timeout": "20s"},
 	}
 	for i, extra := range variants {
 		s, err := Parse(withRun(t, extra))
@@ -99,6 +97,15 @@ func TestHostKnobsDoNotSplitCanonicalHash(t *testing.T) {
 		if got != want {
 			t.Fatalf("variant %d: hash %s != base %s — host-side knobs must not split the result cache", i, got, want)
 		}
+	}
+}
+
+// TestParseRejectsRetiredKnob pins the fate of the retired run.workers
+// knob: a spec that still carries it fails to parse, naming the field.
+func TestParseRejectsRetiredKnob(t *testing.T) {
+	_, err := Parse(withRun(t, map[string]any{"workers": 2}))
+	if err == nil || !strings.Contains(err.Error(), `"workers"`) {
+		t.Fatalf("run.workers: err = %v, want an unknown-field error naming workers", err)
 	}
 }
 

@@ -179,12 +179,6 @@ type Run struct {
 	// bit-identical for every setting). 0 selects the engine default
 	// (16); 1 forces full snapshots every transition.
 	DeltaCadence int `json:"delta_cadence,omitempty"`
-	// Workers sets the engine's host parallelism (goroutines in the
-	// cycle loop; host-side fast path; reports are bit-identical for
-	// every setting, pinned by the workers differential suite). 0 and
-	// 1 both run sequentially. Excluded from the canonical hash like
-	// CycleBatch/DeltaCadence.
-	Workers int `json:"workers,omitempty"`
 
 	PredictIdle        bool    `json:"predict_idle,omitempty"`
 	PredictBurstStarts bool    `json:"predict_burst_starts,omitempty"`
@@ -357,7 +351,7 @@ func (s *Spec) Validate() error {
 	if r.Cycles <= 0 {
 		return fmt.Errorf("spec: run.cycles must be positive, got %d", r.Cycles)
 	}
-	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 || r.DeltaCadence < 0 || r.Workers < 0 || r.TraceRing < 0 {
+	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 || r.DeltaCadence < 0 || r.TraceRing < 0 {
 		return fmt.Errorf("spec: negative run parameter")
 	}
 	if r.Accuracy < 0 || r.Accuracy > 1 {
@@ -496,11 +490,6 @@ func (s *Spec) canonicalJSON() ([]byte, error) {
 	// from before the knob existed.
 	n.Run.CycleBatch = core.DefaultCycleBatch
 	n.Run.DeltaCadence = 0
-	// Workers parallelizes the host cycle loop; reports are
-	// bit-identical at every width (pinned by the workers differential
-	// suite), so it hashes as absent (zero + omitempty) and canonical
-	// hashes are unchanged from before the knob existed.
-	n.Run.Workers = 0
 	// Timeout and FaultPlan are host-side too: a deadline bounds host
 	// execution without touching modeled results, and fault injection
 	// is a chaos harness whose surviving runs are bit-identical to

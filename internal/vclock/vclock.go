@@ -62,13 +62,7 @@ func Categories() []Category {
 }
 
 // Ledger accumulates modeled time per category. The zero value is an
-// empty ledger ready for use. Ledger is not safe for concurrent use on
-// the SAME category: each category's bucket and count are separate
-// memory words, so the engine's parallel cycle loop may charge
-// different categories from different goroutines (each domain charges
-// only its own category, and store/restore/channel charges stay on the
-// coordinating goroutine), but two goroutines must never charge one
-// category concurrently. Totals are order-independent sums either way.
+// empty ledger ready for use. Ledger is not safe for concurrent use.
 type Ledger struct {
 	buckets [numCategories]time.Duration
 	charges [numCategories]int64
