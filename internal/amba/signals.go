@@ -125,21 +125,12 @@ type PartialState struct {
 	SplitMask uint32
 }
 
-// Merge combines the contributions of the two domains into the full
-// MSABS record. Exactly one side may drive each optional group; Merge
-// panics when both do, because that indicates the two half-bus models
-// disagree about bus state — a protocol-splitting bug the engine must
-// never mask.
-func Merge(a, b PartialState) CycleState {
-	var c CycleState
-	MergeInto(&c, &a, &b)
-	return c
-}
-
-// MergeInto is Merge writing through pointers: dst receives the full
-// record and the contributions are read in place. The engine's cycle
-// loop merges once per committed cycle, so the value copies Merge
-// implies are worth avoiding.
+// MergeInto combines the contributions of the two domains into the
+// full MSABS record dst, reading both in place (the engine's cycle loop
+// merges once per committed cycle). Exactly one side may drive each
+// optional group; MergeInto panics when both do, because that indicates
+// the two half-bus models disagree about bus state — a protocol-
+// splitting bug the engine must never mask.
 func MergeInto(dst *CycleState, a, b *PartialState) {
 	if a.ReqMask&b.ReqMask != 0 {
 		panic(fmt.Sprintf("amba: overlapping request ownership %04x/%04x", a.ReqMask, b.ReqMask))

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// merge is MergeInto by value, for test readability.
+func merge(a, b PartialState) CycleState {
+	var c CycleState
+	MergeInto(&c, &a, &b)
+	return c
+}
+
 func TestMergeDisjointOwnership(t *testing.T) {
 	a := PartialState{
 		Req: 0b01, ReqMask: 0b01,
@@ -18,7 +25,7 @@ func TestMergeDisjointOwnership(t *testing.T) {
 		Reply:    SlaveReply{Ready: true, Resp: RespOkay, RData: 0xdead},
 		IRQ:      0x8, IRQMask: 0xc,
 	}
-	c := Merge(a, b)
+	c := merge(a, b)
 	if c.Req != 0b11 {
 		t.Errorf("merged Req = %04b", c.Req)
 	}
@@ -36,7 +43,7 @@ func TestMergeDisjointOwnership(t *testing.T) {
 func TestMergeDefaultsToIdleResponse(t *testing.T) {
 	a := PartialState{ReqMask: 0b01}
 	b := PartialState{ReqMask: 0b10}
-	c := Merge(a, b)
+	c := merge(a, b)
 	if !c.Reply.Ready || c.Reply.Resp != RespOkay {
 		t.Fatalf("idle merge must give OKAY/ready, got %v", c.Reply)
 	}
@@ -54,16 +61,16 @@ func mustPanic(t *testing.T, name string, f func()) {
 
 func TestMergeConflictsPanic(t *testing.T) {
 	mustPanic(t, "req overlap", func() {
-		Merge(PartialState{ReqMask: 1}, PartialState{ReqMask: 1})
+		merge(PartialState{ReqMask: 1}, PartialState{ReqMask: 1})
 	})
 	mustPanic(t, "double AP", func() {
-		Merge(PartialState{HasAP: true, ReqMask: 1}, PartialState{HasAP: true, ReqMask: 2})
+		merge(PartialState{HasAP: true, ReqMask: 1}, PartialState{HasAP: true, ReqMask: 2})
 	})
 	mustPanic(t, "double wdata", func() {
-		Merge(PartialState{HasWData: true, ReqMask: 1}, PartialState{HasWData: true, ReqMask: 2})
+		merge(PartialState{HasWData: true, ReqMask: 1}, PartialState{HasWData: true, ReqMask: 2})
 	})
 	mustPanic(t, "double reply", func() {
-		Merge(PartialState{HasReply: true, ReqMask: 1}, PartialState{HasReply: true, ReqMask: 2})
+		merge(PartialState{HasReply: true, ReqMask: 1}, PartialState{HasReply: true, ReqMask: 2})
 	})
 }
 

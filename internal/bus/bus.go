@@ -178,10 +178,8 @@ type Bus struct {
 	// construction; recomputing it per cycle showed in profiles).
 	localReq uint32
 
-	// saved/clean implement compare-on-save dirty tracking
-	// (rollback.DeltaSnapshotter); busState is a small value struct.
+	// saved is the rollback shadow of st (rollback.Component).
 	saved busState
-	clean bool
 }
 
 // New creates an empty bus fabric that owns the default slave.
@@ -350,19 +348,12 @@ func (b *Bus) Arbitrate(req uint32) int {
 	return b.st.Grant // every master split-masked: bus idles
 }
 
-// Evaluate computes everything this bus's local components drive in the
-// upcoming cycle and returns it as a partial MSABS contribution. It must
-// be followed by exactly one Commit. Calling Evaluate twice without a
-// Commit panics — that would double-step component state.
-func (b *Bus) Evaluate() amba.PartialState {
-	var p amba.PartialState
-	b.EvaluateInto(&p)
-	return p
-}
-
-// EvaluateInto is Evaluate writing the contribution through dst — the
-// engine's cycle loop deposits it straight into a LOB entry without
-// the intermediate value copies a return implies.
+// EvaluateInto computes everything this bus's local components drive
+// in the upcoming cycle and writes it through dst as a partial MSABS
+// contribution — the engine's cycle loop deposits it straight into a
+// LOB entry. It must be followed by exactly one CommitFrom. Calling it
+// twice without a CommitFrom panics — that would double-step component
+// state.
 func (b *Bus) EvaluateInto(dst *amba.PartialState) {
 	if b.eval.valid {
 		panic(fmt.Sprintf("bus %s: Evaluate without intervening Commit", b.name))
@@ -444,18 +435,11 @@ type StepResult struct {
 	DataWrite bool
 }
 
-// Commit merges the remote contribution with the local evaluation,
+// CommitFrom merges the remote contribution with the local evaluation,
 // advances the pipeline by one clock edge and delivers feedback to the
 // local components. For a fully-local bus pass an empty PartialState.
-func (b *Bus) Commit(remote amba.PartialState) StepResult {
-	return *b.CommitFrom(&remote)
-}
-
-// CommitFrom is Commit reading the remote contribution in place and
-// returning a pointer into the bus-owned result record, valid until
-// the next Commit — the engine's cycle loop commits once per target
-// cycle, and the state-record value copies a return implies were a
-// measurable slice of it.
+// Both the contribution and the result are passed by pointer: the
+// returned record is bus-owned and valid until the next CommitFrom.
 func (b *Bus) CommitFrom(remote *amba.PartialState) *StepResult {
 	if !b.eval.valid {
 		panic(fmt.Sprintf("bus %s: Commit without Evaluate", b.name))
@@ -559,8 +543,9 @@ func (b *Bus) SkipQuiescent(n int64) {
 
 // Step evaluates and commits one cycle of a fully-local bus.
 func (b *Bus) Step() StepResult {
-	b.Evaluate()
-	return b.Commit(amba.PartialState{})
+	var local, remote amba.PartialState
+	b.EvaluateInto(&local)
+	return *b.CommitFrom(&remote)
 }
 
 // defaultSlaveReply implements the AHB default slave: active beats that
@@ -577,50 +562,20 @@ func (b *Bus) defaultSlaveReply() amba.SlaveReply {
 // Cycle returns the number of completed bus cycles.
 func (b *Bus) Cycle() int64 { return b.st.Cycle }
 
-// Save implements rollback.Snapshotter for the fabric's registered
+// Store implements rollback.Component for the fabric's registered
 // state. Snapshots may only be taken between cycles (never between
-// Evaluate and Commit).
-func (b *Bus) Save() any { return b.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a bus.
-func (b *Bus) SaveInto(prev any) any {
+// EvaluateInto and CommitFrom).
+func (b *Bus) Store() {
 	if b.eval.valid {
 		panic(fmt.Sprintf("bus %s: snapshot between Evaluate and Commit", b.name))
 	}
-	st, ok := prev.(*busState)
-	if !ok {
-		st = new(busState)
-	}
-	*st = b.st
-	return st
+	b.saved = b.st
 }
 
-// Restore implements rollback.Snapshotter.
-func (b *Bus) Restore(s any) {
-	st, ok := s.(*busState)
-	if !ok {
-		panic(fmt.Sprintf("bus %s: bad snapshot %T", b.name, s))
-	}
-	b.st = *st
+// Restore implements rollback.Component. It also cancels an
+// outstanding evaluation: a leader rolled back while waiting for its
+// final cycle's remote contribution never commits it.
+func (b *Bus) Restore() {
+	b.st = b.saved
 	b.eval = evalState{}
 }
-
-// Dirty implements rollback.DeltaSnapshotter: the fabric changed iff
-// its registered state moved since the last MarkClean (the cycle
-// counter alone makes any committed cycle dirty, as it must).
-func (b *Bus) Dirty() bool { return !b.clean || b.st != b.saved }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (b *Bus) MarkClean() {
-	b.saved = b.st
-	b.clean = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter; busState is one
-// small value struct, so deltas are self-contained copies.
-func (b *Bus) SaveDelta(prev any) any { return b.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (b *Bus) RestoreDelta(newest any) { b.Restore(newest) }

@@ -255,11 +255,11 @@ func TestBusSnapshotRestore(t *testing.T) {
 	b.MapSlave(&stubSlave{name: "s"}, Region{0, 0x1000}, 0)
 
 	b.Step()
-	snap := b.Save()
+	b.Store()
 	cycleAt := b.Cycle()
 	b.Step()
 	b.Step()
-	b.Restore(snap)
+	b.Restore()
 	if b.Cycle() != cycleAt {
 		t.Fatalf("restored cycle = %d, want %d", b.Cycle(), cycleAt)
 	}

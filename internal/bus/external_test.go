@@ -6,6 +6,18 @@ import (
 	"coemu/internal/amba"
 )
 
+// eval and commit drive one EvaluateInto/CommitFrom round by value,
+// for test readability.
+func eval(b *Bus) amba.PartialState {
+	var p amba.PartialState
+	b.EvaluateInto(&p)
+	return p
+}
+
+func commit(b *Bus, remote amba.PartialState) StepResult {
+	return *b.CommitFrom(&remote)
+}
+
 // TestExternalMasterContribution drives a half-bus whose only master is
 // external: the address phase and write data arrive via the remote
 // contribution, and the local slave must see the beats.
@@ -23,7 +35,7 @@ func TestExternalMasterContribution(t *testing.T) {
 		}
 	}
 
-	local := b.Evaluate()
+	local := eval(b)
 	if local.HasAP {
 		t.Fatal("half-bus with external grant owner must not claim the address phase")
 	}
@@ -31,17 +43,17 @@ func TestExternalMasterContribution(t *testing.T) {
 		t.Fatalf("local req mask = %x, want 0", local.ReqMask)
 	}
 	beat := amba.AddrPhase{Addr: 0x40, Trans: amba.TransNonSeq, Write: true, Size: amba.Size32, Burst: amba.BurstSingle}
-	b.Commit(remote(beat, 0, false))
+	commit(b, remote(beat, 0, false))
 
 	// Data phase: the local slave replies; write data is remote.
-	local = b.Evaluate()
+	local = eval(b)
 	if !local.HasReply {
 		t.Fatal("local slave must own the reply")
 	}
 	if local.HasWData {
 		t.Fatal("write data belongs to the remote master")
 	}
-	res := b.Commit(remote(amba.AddrPhase{}, 0xABCD0123, true))
+	res := commit(b, remote(amba.AddrPhase{}, 0xABCD0123, true))
 	if !res.DataValid || res.State.WData != 0xABCD0123 {
 		t.Fatalf("data phase result %+v", res)
 	}
@@ -62,19 +74,19 @@ func TestExternalSlaveContribution(t *testing.T) {
 	b.MapExternalSlave("remote-mem", Region{0, 0x1000})
 
 	// Cycle 0: local master presents; no data phase yet.
-	local := b.Evaluate()
+	local := eval(b)
 	if !local.HasAP || local.HasReply {
 		t.Fatalf("cycle 0 contribution %+v", local)
 	}
-	b.Commit(amba.PartialState{})
+	commit(b, amba.PartialState{})
 
 	// Cycle 1: the beat is in the external slave's data phase; the
 	// reply must come from the remote side.
-	local = b.Evaluate()
+	local = eval(b)
 	if local.HasReply {
 		t.Fatal("external slave's reply claimed locally")
 	}
-	res := b.Commit(amba.PartialState{
+	res := commit(b, amba.PartialState{
 		HasReply: true,
 		Reply:    amba.SlaveReply{Ready: true, Resp: amba.RespOkay, RData: 0x5555},
 	})
@@ -98,13 +110,13 @@ func TestDefaultSlaveOwnership(t *testing.T) {
 	b.AddMaster(m)
 	b.MapSlave(&stubSlave{name: "s"}, Region{0, 0x1000}, 0)
 
-	b.Evaluate()
-	b.Commit(amba.PartialState{})
-	local := b.Evaluate()
+	eval(b)
+	commit(b, amba.PartialState{})
+	local := eval(b)
 	if local.HasReply {
 		t.Fatal("non-owner must not drive default-slave replies")
 	}
-	res := b.Commit(amba.PartialState{
+	res := commit(b, amba.PartialState{
 		HasReply: true,
 		Reply:    amba.SlaveReply{Ready: false, Resp: amba.RespError},
 	})
@@ -130,11 +142,11 @@ func TestEvaluateCommitGuards(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("commit without evaluate", func() { b.Commit(amba.PartialState{}) })
-	b.Evaluate()
-	mustPanic("double evaluate", func() { b.Evaluate() })
-	mustPanic("save mid-cycle", func() { b.Save() })
-	b.Commit(amba.PartialState{})
+	mustPanic("commit without evaluate", func() { commit(b, amba.PartialState{}) })
+	eval(b)
+	mustPanic("double evaluate", func() { eval(b) })
+	mustPanic("save mid-cycle", func() { b.Store() })
+	commit(b, amba.PartialState{})
 }
 
 func TestLocalMasks(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"coemu/internal/amba"
@@ -30,8 +29,8 @@ import (
 // slice per write burst. That isolates the engine's own allocations from
 // workload-owned ones.
 type zeroStream struct {
-	lo, hi amba.Addr
-	cursor amba.Addr
+	lo, hi        amba.Addr
+	cursor, saved amba.Addr
 }
 
 func (z *zeroStream) Next() (ip.Xfer, bool) {
@@ -44,18 +43,8 @@ func (z *zeroStream) Next() (ip.Xfer, bool) {
 	return x, true
 }
 
-func (z *zeroStream) Save() any { return z.SaveInto(nil) }
-
-func (z *zeroStream) SaveInto(prev any) any {
-	p, ok := prev.(*amba.Addr)
-	if !ok {
-		p = new(amba.Addr)
-	}
-	*p = z.cursor
-	return p
-}
-
-func (z *zeroStream) Restore(v any) { z.cursor = *(v.(*amba.Addr)) }
+func (z *zeroStream) Store()   { z.saved = z.cursor }
+func (z *zeroStream) Restore() { z.cursor = z.saved }
 
 // allocDesign is the canonical ALS split (acc-side write master, sim-side
 // memory) over the zero-alloc generator.
@@ -180,50 +169,47 @@ func TestBatchedPathsAllocFree(t *testing.T) {
 
 // TestRollbackHeavyAllocFree pins the zero-alloc property on the
 // rollback-heavy steady state: with every other prediction check
-// injected wrong, each step exercises the incremental snapshot ring
-// (anchor and delta saves, clean skips), the restore walk and the
-// roll-forth replay. Swept over delta cadences including 1 (the
-// full-save reference) and the default, none of it may allocate once
-// the ring is warm.
+// injected wrong, each step exercises the shadow store, the restore
+// and the roll-forth replay, and none of it may allocate once warm.
+// The case is named for its snapshot cadence: every transition stores
+// the leader in full, the only cadence the shadow store has.
 func TestRollbackHeavyAllocFree(t *testing.T) {
-	for _, cadence := range []int{1, 4, DefaultDeltaCadence} {
-		t.Run(fmt.Sprintf("cadence=%d", cadence), func(t *testing.T) {
-			d := allocDesign()
-			d.Masters[0].NewGen = func() ip.Generator {
-				return workload.NewStream(workload.Window{Lo: 0, Hi: 0x4000}, true,
-					amba.BurstIncr8, amba.Size32, 0, 0, 0)
-			}
-			e, err := NewEngine(d, Config{Mode: ALS, Accuracy: 0.5, FaultSeed: 3, DeltaCadence: cadence})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			e.done = ctx.Done()
-			transition := func() {
-				leader := e.chooseLeader()
-				if leader == nil {
-					if err := e.conservativeCycle(); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				if _, err := e.transition(leader, 1<<30); err != nil {
+	t.Run("cadence=1", func(t *testing.T) {
+		d := allocDesign()
+		d.Masters[0].NewGen = func() ip.Generator {
+			return workload.NewStream(workload.Window{Lo: 0, Hi: 0x4000}, true,
+				amba.BurstIncr8, amba.Size32, 0, 0, 0)
+		}
+		e, err := NewEngine(d, Config{Mode: ALS, Accuracy: 0.5, FaultSeed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		e.done = ctx.Done()
+		transition := func() {
+			leader := e.chooseLeader()
+			if leader == nil {
+				if err := e.conservativeCycle(); err != nil {
 					t.Fatal(err)
 				}
+				return
 			}
-			for i := 0; i < 500; i++ {
-				transition()
+			if _, err := e.transition(leader, 1<<30); err != nil {
+				t.Fatal(err)
 			}
-			if e.stats.Rollbacks == 0 {
-				t.Fatal("no rollbacks; the guard would prove nothing")
-			}
-			allocs := testing.AllocsPerRun(20, transition)
-			if allocs != 0 {
-				t.Fatalf("rollback-heavy transition allocated %.1f objects, want 0", allocs)
-			}
-		})
-	}
+		}
+		for i := 0; i < 500; i++ {
+			transition()
+		}
+		if e.stats.Rollbacks == 0 {
+			t.Fatal("no rollbacks; the guard would prove nothing")
+		}
+		allocs := testing.AllocsPerRun(20, transition)
+		if allocs != 0 {
+			t.Fatalf("rollback-heavy transition allocated %.1f objects, want 0", allocs)
+		}
+	})
 }
 
 func TestALSTransitionAllocFree(t *testing.T) {

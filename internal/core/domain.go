@@ -33,25 +33,16 @@ type Domain struct {
 	costModel rollback.CostModel
 
 	evaluated bool
-
-	// snap is the domain's reusable transition snapshot. The engine
-	// keeps at most one snapshot live per domain (rb_store at the start
-	// of each transition, rb_restore at most once before the next
-	// store), so each store recycles the previous transition's buffers.
-	snap rollback.Snapshot
 }
 
-// buildDomain constructs one half of the split system. deltaCadence
-// configures the registry's incremental snapshot ring (1 = full saves
-// every transition, the pre-delta behavior).
-func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollback.CostModel, opts predictorOptions, deltaCadence int) *Domain {
+// buildDomain constructs one half of the split system.
+func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollback.CostModel, opts predictorOptions) *Domain {
 	dom := &Domain{
 		id:        id,
 		bus:       bus.New(id.String()),
 		cycleCost: cycleCost,
 		costModel: costModel,
 	}
-	dom.reg.SetDeltaCadence(deltaCadence)
 	if id == SimDomain {
 		dom.timeCat = vclock.Sim
 	} else {
@@ -70,7 +61,7 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 				vars = defaultVars
 			}
 			dom.reg.Register(ms.Name, m, vars)
-			if g, ok := gen.(rollback.Snapshotter); ok {
+			if g, ok := gen.(rollback.Component); ok {
 				dom.reg.Register(ms.Name+".gen", g, 1)
 			}
 		} else {
@@ -89,13 +80,7 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 					ss.Name, ss.SplitCapable, isSplit))
 			}
 			dom.bus.MapSlave(s, ss.Region, ss.IRQMask)
-			if j, ok := s.(ip.Journaler); ok {
-				// Domains snapshot once per transition and restore at
-				// most once, exactly the discipline journal mode
-				// requires; O(1) saves beat O(footprint) map copies.
-				j.SetJournaling(true)
-			}
-			if snap, ok := s.(rollback.Snapshotter); ok {
+			if snap, ok := s.(rollback.Component); ok {
 				vars := ss.Vars
 				if vars == 0 {
 					vars = defaultVars
@@ -141,16 +126,9 @@ func (d *Domain) Now() int64 { return d.clock.Now() }
 // Masters returns the domain's local masters.
 func (d *Domain) Masters() []*ip.TrafficMaster { return d.masters }
 
-// Evaluate computes the domain's contribution for the upcoming cycle
-// and charges one cycle of domain time to the ledger.
-func (d *Domain) Evaluate(ledger *vclock.Ledger) amba.PartialState {
-	var p amba.PartialState
-	d.EvaluateInto(ledger, &p)
-	return p
-}
-
-// EvaluateInto is Evaluate writing the contribution through dst — the
-// engine deposits it straight into a LOB entry.
+// EvaluateInto computes the domain's contribution for the upcoming
+// cycle, writes it through dst — the engine deposits it straight into a
+// LOB entry — and charges one cycle of domain time to the ledger.
 func (d *Domain) EvaluateInto(ledger *vclock.Ledger, dst *amba.PartialState) {
 	if d.evaluated {
 		panic(fmt.Sprintf("core: domain %s: Evaluate without Commit", d.id))
@@ -160,17 +138,11 @@ func (d *Domain) EvaluateInto(ledger *vclock.Ledger, dst *amba.PartialState) {
 	d.bus.EvaluateInto(dst)
 }
 
-// Commit completes the cycle with the given remote contribution (real or
-// predicted), ticks the domain's clocked components, advances the
-// predictor's observation stream, and returns the full merged MSABS
-// record.
-func (d *Domain) Commit(remote amba.PartialState) amba.CycleState {
-	return *d.CommitFrom(&remote)
-}
-
-// CommitFrom is Commit reading the remote contribution in place; the
-// returned record points into the bus-owned result, valid until the
-// next Commit.
+// CommitFrom completes the cycle with the given remote contribution
+// (real or predicted, read in place), ticks the domain's clocked
+// components, advances the predictor's observation stream, and returns
+// the full merged MSABS record. The record points into the bus-owned
+// result, valid until the next CommitFrom.
 func (d *Domain) CommitFrom(remote *amba.PartialState) *amba.CycleState {
 	if !d.evaluated {
 		panic(fmt.Sprintf("core: domain %s: Commit without Evaluate", d.id))
@@ -186,34 +158,24 @@ func (d *Domain) CommitFrom(remote *amba.PartialState) *amba.CycleState {
 	return &res.State
 }
 
-// Predict returns the predicted remote contribution for the upcoming
-// cycle, or the reason no prediction is possible. Predict is legal both
-// before and after Evaluate: it touches only registered bus state.
-func (d *Domain) Predict() (amba.PartialState, DeclineReason) {
-	return d.pred.Predict()
-}
-
-// PredictInto is Predict writing the prediction through dst (zeroed on
-// decline).
+// PredictInto writes the predicted remote contribution for the
+// upcoming cycle through dst, or zeroes it and returns the reason no
+// prediction is possible. It is legal both before and after
+// EvaluateInto: it touches only registered bus state.
 func (d *Domain) PredictInto(dst *amba.PartialState) DeclineReason {
 	return d.pred.PredictInto(dst)
 }
 
-// Snapshot captures the whole domain (components, generators, bus,
-// predictor, clock) and charges the store cost. The capture is
-// incremental under the registry's delta cadence — periodic full
-// snapshots anchor a ring of dirty-component deltas — and recycles the
-// buffers of previous Snapshot calls: only the most recent one may
-// still be restored, exactly the leader's rollback discipline. The
-// modeled store cost is charged identically whatever the host copies:
-// the emulated hardware shadows its full register state either way.
+// Snapshot stores the whole domain (components, generators, bus,
+// predictor, clock) into its shadow state and charges the store cost.
+// Every component keeps one shadow, so only the most recent snapshot
+// may be restored — exactly the leader's rollback discipline.
 func (d *Domain) Snapshot(ledger *vclock.Ledger, vars int) rollback.Snapshot {
 	if d.evaluated {
 		panic(fmt.Sprintf("core: domain %s: snapshot mid-cycle", d.id))
 	}
 	ledger.Charge(vclock.Store, d.costModel.StoreCost(vars))
-	d.reg.SaveIncremental(&d.snap)
-	return d.snap
+	return d.reg.Store()
 }
 
 // Rollback restores a snapshot and charges the restore cost.

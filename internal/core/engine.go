@@ -131,17 +131,6 @@ type Config struct {
 	// the store (footnote 6). Off by default: snapshotting directly at
 	// the sync point is behaviorally identical and one cycle cheaper.
 	PaperStrictTransitions bool
-	// DeltaCadence sets the incremental-snapshot cadence of the
-	// per-transition rollback store: every DeltaCadence-th store is a
-	// full capture of the leader's components (a ring anchor), and the
-	// stores between anchors capture only components whose state
-	// actually moved, as dirty-tracked deltas. It is a host-side knob:
-	// the modeled store/restore costs (rollback.CostModel) are charged
-	// identically for every setting, so modeled metrics, stats and
-	// traces are bit-identical whatever the cadence. 0 selects
-	// DefaultDeltaCadence; 1 disables delta saving (every store full,
-	// exactly the pre-delta behavior).
-	DeltaCadence int
 	// CycleBatch caps the predicted-quiescence fast path: when ground
 	// truth (idle masters, quiet peripherals, an idle bus fixed point)
 	// and the predictor together prove that the next cycles are exact
@@ -203,13 +192,6 @@ type Config struct {
 // stretches re-probe quiescence (and cancellation) every 64 cycles.
 const DefaultCycleBatch = 64
 
-// DefaultDeltaCadence is the incremental-snapshot cadence used when
-// Config.DeltaCadence is zero: one full capture anchors fifteen delta
-// saves. Anchors bound the ring the restore walk replays; past ~16 the
-// skip savings flatten while the ring's memory footprint keeps
-// growing.
-const DefaultDeltaCadence = 16
-
 // ModelVersion names the engine's modeled behaviour: the canonical
 // report it produces for a given design and run. Spec.CanonicalHash
 // mixes it into every run identity, so a cache, store, fleet member or
@@ -251,9 +233,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CycleBatch == 0 {
 		c.CycleBatch = DefaultCycleBatch
-	}
-	if c.DeltaCadence == 0 {
-		c.DeltaCadence = DefaultDeltaCadence
 	}
 	return c
 }
@@ -428,9 +407,6 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 	if cfg.CycleBatch < 1 {
 		return nil, fmt.Errorf("core: cycle batch %d < 1 (0 selects the default, 1 disables batching)", cfg.CycleBatch)
 	}
-	if cfg.DeltaCadence < 1 {
-		return nil, fmt.Errorf("core: delta cadence %d < 1 (0 selects the default, 1 disables delta snapshots)", cfg.DeltaCadence)
-	}
 	if cfg.ChannelFaults != nil {
 		if err := (&faultplan.Plan{Channel: cfg.ChannelFaults}).Validate(); err != nil {
 			return nil, err
@@ -459,8 +435,8 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 	simCyc := time.Duration(1e9 / cfg.SimSpeed)
 	accCyc := time.Duration(1e9 / cfg.AccSpeed)
 	opts := predictorOptions{Idle: cfg.PredictIdle, Starts: cfg.PredictBurstStarts}
-	e.domains[SimDomain] = buildDomain(d, SimDomain, simCyc, *cfg.SimCost, opts, cfg.DeltaCadence)
-	e.domains[AccDomain] = buildDomain(d, AccDomain, accCyc, *cfg.AccCost, opts, cfg.DeltaCadence)
+	e.domains[SimDomain] = buildDomain(d, SimDomain, simCyc, *cfg.SimCost, opts)
+	e.domains[AccDomain] = buildDomain(d, AccDomain, accCyc, *cfg.AccCost, opts)
 	if cfg.Accuracy < 1 {
 		e.inject = predict.NewFaultInjector(cfg.Accuracy, cfg.FaultSeed)
 	}
@@ -847,8 +823,14 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	raStart := e.stats.RunAheadCycles
 	e.traceEvent(trace.Event{Cycle: base, Kind: trace.EvStore, Domain: uint8(leader.ID())})
 
+	// The run-ahead entry is reused across iterations (Push copies it
+	// into the buffer); only its size memo needs an explicit reset.
+	var entry Entry
+	entry.HasPred = true
 	if e.cfg.PaperStrictTransitions {
-		if _, reason := leader.Predict(); reason != DeclineNone {
+		// The probe's prediction lands in entry.Pred, which the first
+		// run-ahead iteration overwrites.
+		if reason := leader.PredictInto(&entry.Pred); reason != DeclineNone {
 			// Footnote 6: the leader can no longer predict at the very
 			// next cycle; the transition ends with the state store
 			// spent for nothing.
@@ -861,13 +843,10 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	// predictor declines, the LOB fills, or the budget is reached. The
 	// buffer always keeps room for the final, prediction-less entry
 	// (maxPartialWords), which is deposited after the loop decides to
-	// stop — by then the cycle is already evaluated. The entry is
-	// reused across iterations (Push copies it into the buffer); only
-	// its size memo needs an explicit reset.
-	preds := e.preds[:0]
-	defer func() { e.preds = preds[:0] }()
-	var entry Entry
-	entry.HasPred = true
+	// stop — by then the cycle is already evaluated. e.preds records
+	// the committed predictions for roll-forth; its buffer is reused
+	// across transitions.
+	e.preds = e.preds[:0]
 	for {
 		if e.canceled() {
 			return committedLead, errCanceled
@@ -890,7 +869,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			break
 		}
 		e.lob.Push(&entry)
-		preds = append(preds, entry.Pred)
+		e.preds = append(e.preds, entry.Pred)
 		leader.CommitFrom(&entry.Pred)
 		e.stats.RunAheadCycles++
 
@@ -906,7 +885,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			}
 			for k := int64(0); k < n; k++ {
 				e.lob.Push(&entry)
-				preds = append(preds, entry.Pred)
+				e.preds = append(e.preds, entry.Pred)
 			}
 			leader.AdvanceQuiescent(&e.ledger, n)
 			e.stats.RunAheadCycles += n
@@ -1061,7 +1040,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			}
 			remote := &actual
 			if r < i {
-				remote = &preds[r]
+				remote = &e.preds[r]
 			}
 			leader.CommitFrom(remote)
 			e.stats.RollForthCycles++

@@ -106,14 +106,15 @@ func TestDomainGuards(t *testing.T) {
 		}()
 		f()
 	}
+	var remote, out amba.PartialState
 	mustPanic("commit without evaluate", func() {
-		dom.Commit(amba.PartialState{})
+		dom.CommitFrom(&remote)
 	})
 
 	// Evaluate twice without commit panics; so does a mid-cycle snapshot.
 	var l vclock.Ledger
-	dom.Evaluate(&l)
-	mustPanic("double evaluate", func() { dom.Evaluate(&l) })
+	dom.EvaluateInto(&l, &out)
+	mustPanic("double evaluate", func() { dom.EvaluateInto(&l, &out) })
 	mustPanic("snapshot mid-cycle", func() { dom.Snapshot(&l, 10) })
 }
 

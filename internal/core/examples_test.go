@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"coemu/internal/amba"
@@ -134,5 +135,38 @@ func TestExampleStepsAllocFree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// warmupAllocBound caps the objects a fresh multimaster engine may
+// allocate over its first warmupCycles, from Run start to the returned
+// report. Measured at 81 (one-time growth of the beat logs, histogram
+// buckets, data pools and the report itself); the bound adds a margin
+// of 40. A per-transition snapshot store that allocates while it warms
+// up — as the boxed 16-slot delta ring did, at 542 objects over the
+// same run — breaks it.
+const (
+	warmupCycles     = 500
+	warmupAllocBound = 81 + 40
+)
+
+// TestExampleRunWarmupAllocs is the warm-up companion of
+// TestExampleStepsAllocFree: that test pins the warm steady state at
+// zero, this one bounds what a fresh engine allocates getting there.
+func TestExampleRunWarmupAllocs(t *testing.T) {
+	e := exampleEngine(t, "multimaster", core.Auto)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := e.Run(warmupCycles)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.Stores == 0 {
+		t.Fatal("no snapshot stores; the guard would prove nothing")
+	}
+	if n := after.Mallocs - before.Mallocs; n > warmupAllocBound {
+		t.Fatalf("a fresh multimaster run of %d cycles allocated %d objects (%d stores), bound %d",
+			warmupCycles, n, rep.Stats.Stores, warmupAllocBound)
 	}
 }

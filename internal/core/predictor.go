@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"coemu/internal/amba"
 	"coemu/internal/bus"
 	"coemu/internal/predict"
@@ -48,15 +46,18 @@ type remotePredictor struct {
 	// dominate the rollback-heavy store/restore profile.
 	trackers []*predict.BurstTracker // per remote master
 	waits    []*predict.WaitModel    // per remote slave
-	defErr   defMirror
 
+	predFrame
+	saved predFrame // rollback shadow of predFrame
+}
+
+// predFrame is the predictor's own registered state; the component
+// predictors above keep their own shadows.
+type predFrame struct {
+	defErr    defMirror
 	lastValid bool
 	lastFull  amba.CycleState
-
 	pendingDP
-
-	// dirty tracks mutation since MarkClean (rollback.DeltaSnapshotter).
-	dirty bool
 }
 
 // defMirror predicts the two-cycle ERROR sequence of a remotely-owned
@@ -94,7 +95,6 @@ func newRemotePredictor(b *bus.Bus, ownsDefault bool, waitProfiles map[int][2]in
 		ownsDefault:   ownsDefault,
 		trackers:      make([]*predict.BurstTracker, b.Masters()),
 		waits:         make([]*predict.WaitModel, b.Slaves()),
-		dirty:         true,
 	}
 	p.coupleReq = opts.Starts
 	for i := 0; i < b.Masters(); i++ {
@@ -129,20 +129,11 @@ const (
 	DeclineNoModel    DeclineReason = "no wait model for remote slave"
 )
 
-// Predict computes the predicted remote contribution for the upcoming
-// cycle. It is pure: calling it any number of times between Observes
-// returns the same value.
-func (p *remotePredictor) Predict() (amba.PartialState, DeclineReason) {
-	var out amba.PartialState
-	reason := p.PredictInto(&out)
-	return out, reason
-}
-
-// PredictInto is Predict writing the prediction through dst (zeroed on
-// decline) — the engine deposits it straight into a LOB entry. Like
-// Predict it has no side effects: every component predictor it consults
-// is pure, so a predictor that only predicted stays clean for delta
-// snapshots.
+// PredictInto computes the predicted remote contribution for the
+// upcoming cycle and writes it through dst (zeroed on decline) — the
+// engine deposits it straight into a LOB entry. It has no side effects:
+// every component predictor it consults is pure, so calling it any
+// number of times between Observes returns the same value.
 func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 	out := dst
 	*out = amba.PartialState{
@@ -213,7 +204,6 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 // merged state of a cycle the domain just committed, both read in
 // place (once per committed cycle; value args showed in profiles).
 func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialState) {
-	p.dirty = true
 	p.req.Observe(remote.Req & p.remoteReqMask)
 	p.irq.Observe(remote.IRQ & p.remoteIRQMask)
 
@@ -257,7 +247,6 @@ func (p *remotePredictor) StashDataPhase() {
 	p.pendingDPValid = v
 	p.pendingDPMaster = m
 	p.pendingDPSlave = s
-	p.dirty = true
 }
 
 // PredictStableFor reports for how many upcoming cycles the
@@ -295,96 +284,41 @@ func (p *remotePredictor) PredictStableFor() int64 {
 func (p *remotePredictor) SkipIdle(n int64) {
 	if t := p.trackers[p.b.Grant()]; t != nil {
 		t.SkipIdle(n)
-		p.dirty = true
 	}
 }
 
-// predictorSnap freezes a remotePredictor. The request/IRQ last-value
-// predictors are stored inline (no boxing); tracker and wait-model
-// state is boxed per slot, with slots recycled across saves.
-type predictorSnap struct {
-	Req      uint32
-	IRQ      uint32
-	Trackers []any
-	Waits    []any
-	DefErr   defMirror
-	LastV    bool
-	LastFull amba.CycleState
-	Pending  pendingDP
-}
-
-// Save implements rollback.Snapshotter.
-func (p *remotePredictor) Save() any { return p.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter: the snapshot struct,
-// its slices and the per-tracker state buffers inside them are all
-// recycled from prev, so the once-per-transition store allocates
-// nothing in the steady state.
-func (p *remotePredictor) SaveInto(prev any) any {
-	s, ok := prev.(*predictorSnap)
-	if !ok {
-		s = &predictorSnap{
-			Trackers: make([]any, len(p.trackers)),
-			Waits:    make([]any, len(p.waits)),
-		}
-	}
-	s.Req = p.req.Predict()
-	s.IRQ = p.irq.Predict()
-	s.DefErr = p.defErr
-	s.LastV = p.lastValid
-	s.LastFull = p.lastFull
-	s.Pending = p.pendingDP
-	for i, t := range p.trackers {
+// Store implements rollback.Component: every component predictor and
+// the predictor's own frame copy into their shadows. The tracker and
+// wait-model tables are dense slices, so the walk is array indexing.
+func (p *remotePredictor) Store() {
+	p.req.Store()
+	p.irq.Store()
+	for _, t := range p.trackers {
 		if t != nil {
-			s.Trackers[i] = t.SaveInto(s.Trackers[i])
+			t.Store()
 		}
 	}
-	for i, w := range p.waits {
+	for _, w := range p.waits {
 		if w != nil {
-			s.Waits[i] = w.SaveInto(s.Waits[i])
+			w.Store()
 		}
 	}
-	return s
+	p.saved = p.predFrame
 }
 
-// Restore implements rollback.Snapshotter.
-func (p *remotePredictor) Restore(v any) {
-	s, ok := v.(*predictorSnap)
-	if !ok {
-		panic(fmt.Sprintf("core: predictor: bad snapshot %T", v))
-	}
-	p.req.Observe(s.Req)
-	p.irq.Observe(s.IRQ)
-	for i, t := range p.trackers {
+// Restore implements rollback.Component.
+func (p *remotePredictor) Restore() {
+	p.req.Restore()
+	p.irq.Restore()
+	for _, t := range p.trackers {
 		if t != nil {
-			t.Restore(s.Trackers[i])
+			t.Restore()
 		}
 	}
-	for i, w := range p.waits {
+	for _, w := range p.waits {
 		if w != nil {
-			w.Restore(s.Waits[i])
+			w.Restore()
 		}
 	}
-	p.defErr = s.DefErr
-	p.lastValid = s.LastV
-	p.lastFull = s.LastFull
-	p.pendingDP = s.Pending
-	p.dirty = true
+	p.predFrame = p.saved
 }
-
-// Dirty implements rollback.DeltaSnapshotter.
-func (p *remotePredictor) Dirty() bool { return p.dirty }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (p *remotePredictor) MarkClean() { p.dirty = false }
-
-// SaveDelta implements rollback.DeltaSnapshotter. A predictor save is
-// a handful of small value copies once the tracker tables are dense
-// slices, so deltas are self-contained full captures; the delta win is
-// the clean skip (a predictor that only skipped idle cycles with no
-// tracker armed never dirties).
-func (p *remotePredictor) SaveDelta(prev any) any { return p.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (p *remotePredictor) RestoreDelta(newest any) { p.Restore(newest) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"coemu/internal/amba"
@@ -41,10 +42,10 @@ func TestWaitedMemoryStreamPredictsExactly(t *testing.T) {
 	}
 }
 
-// TestPredictLeavesPredictorClean checks that a predictor that only
-// predicted stays clean for delta snapshots: before every step of a
-// waited-memory stream, each domain's predictor is marked clean,
-// predicts, and must still be clean.
+// TestPredictLeavesPredictorClean checks that predicting leaves the
+// predictor untouched: before every step of a waited-memory stream,
+// each domain's predictor state (shadows included) must be identical
+// before and after a PredictInto.
 func TestPredictLeavesPredictorClean(t *testing.T) {
 	const cycles = 2000
 	e, err := NewEngine(waitStreamDesign(2, 1), Config{Mode: ALS})
@@ -54,16 +55,14 @@ func TestPredictLeavesPredictorClean(t *testing.T) {
 	replies := 0
 	for e.stats.Committed < cycles {
 		for _, d := range e.domains {
-			was := d.pred.dirty
-			d.pred.MarkClean()
+			before := d.pred.capture()
 			var ps amba.PartialState
 			if d.pred.PredictInto(&ps) == DeclineNone && ps.HasReply {
 				replies++
 			}
-			if d.pred.Dirty() {
-				t.Fatalf("cycle %d: domain %v predictor dirtied by PredictInto", e.stats.Committed, d.ID())
+			if !reflect.DeepEqual(before, d.pred.capture()) {
+				t.Fatalf("cycle %d: domain %v predictor moved by PredictInto", e.stats.Committed, d.ID())
 			}
-			d.pred.dirty = was
 		}
 		if err := e.step(cycles); err != nil {
 			t.Fatal(err)

@@ -1,10 +1,12 @@
 package ip
 
 import (
+	"fmt"
 	"testing"
 
 	"coemu/internal/amba"
 	"coemu/internal/bus"
+	"coemu/internal/rollback"
 )
 
 // run steps the bus n cycles with the protocol checker attached, failing
@@ -28,8 +30,8 @@ func seq(xfers ...Xfer) Generator { return &sliceGen{xfers: xfers} }
 // sliceGen is a minimal local generator (the workload package provides
 // the real ones; keeping a local copy avoids an import cycle in tests).
 type sliceGen struct {
-	xfers []Xfer
-	i     int
+	xfers    []Xfer
+	i, saved int
 }
 
 func (g *sliceGen) Next() (Xfer, bool) {
@@ -41,8 +43,8 @@ func (g *sliceGen) Next() (Xfer, bool) {
 	return x, true
 }
 
-func (g *sliceGen) Save() any     { return g.i }
-func (g *sliceGen) Restore(v any) { g.i = v.(int) }
+func (g *sliceGen) Store()   { g.saved = g.i }
+func (g *sliceGen) Restore() { g.i = g.saved }
 
 func TestLaneHelpers(t *testing.T) {
 	// Byte at offset 2 occupies bits 16..23.
@@ -281,50 +283,65 @@ func TestTwoMastersInterleave(t *testing.T) {
 
 // TestSnapshotReplayDeterminism is the rollback cornerstone: freeze the
 // whole system mid-flight, run N cycles, restore, run N cycles again —
-// the two traces must be bit-identical.
+// the two traces must be bit-identical. It sweeps the store point and
+// the slave behind the bus; the writes arm the interrupt peripheral's
+// countdown (offset 0) and its register reads observe the result.
 func TestSnapshotReplayDeterminism(t *testing.T) {
-	build := func() (*bus.Bus, []interface {
-		Save() any
-		Restore(any)
-	}) {
-		gen := &sliceGen{xfers: []Xfer{
-			{Addr: 0x10, Write: true, Size: amba.Size32, Burst: amba.BurstIncr8, Data: []amba.Word{1, 2, 3, 4, 5, 6, 7, 8}},
-			{Addr: 0x10, Write: false, Size: amba.Size32, Burst: amba.BurstIncr8, Gap: 2},
-			{Addr: 0x40, Write: true, Size: amba.Size32, Burst: amba.BurstWrap4, Data: []amba.Word{9, 9, 9, 9}},
-			{Addr: 0x40, Write: false, Size: amba.Size32, Burst: amba.BurstWrap4},
-		}}
-		m := NewTrafficMaster("m", gen, 3)
-		mem := NewJitterMemory("mem", 1, 2, 77)
-		b := bus.New("t")
-		b.AddMaster(m)
-		b.MapSlave(mem, bus.Region{Lo: 0, Hi: 0x1000}, 0)
-		snaps := []interface {
-			Save() any
-			Restore(any)
-		}{b, m, gen, mem}
-		return b, snaps
+	slaves := map[string]func() bus.Slave{
+		"jitter": func() bus.Slave { return NewJitterMemory("mem", 1, 2, 77) },
+		"retry":  func() bus.Slave { return NewRetryMemory("mem", 1, 3) },
+		"error":  func() bus.Slave { return NewErrorSlave("err") },
+		"irq":    func() bus.Slave { return NewIRQPeriph("timer", 1) },
 	}
-
-	b, snaps := build()
-	for i := 0; i < 7; i++ {
-		b.Step()
-	}
-	saved := make([]any, len(snaps))
-	for i, s := range snaps {
-		saved[i] = s.Save()
-	}
-	const n = 25
-	var first []amba.CycleState
-	for i := 0; i < n; i++ {
-		first = append(first, b.Step().State)
-	}
-	for i, s := range snaps {
-		s.Restore(saved[i])
-	}
-	for i := 0; i < n; i++ {
-		got := b.Step().State
-		if !got.Equal(first[i]) {
-			t.Fatalf("replay diverged at cycle %d:\nfirst:  %s\nreplay: %s", i, first[i], got)
+	for name, newSlave := range slaves {
+		for at := 0; at < 40; at += 3 {
+			t.Run(fmt.Sprintf("%s/at=%d", name, at), func(t *testing.T) {
+				gen := &sliceGen{xfers: []Xfer{
+					{Addr: 0x10, Write: true, Size: amba.Size32, Burst: amba.BurstIncr8, Data: []amba.Word{1, 2, 3, 4, 5, 6, 7, 8}},
+					{Addr: 0x10, Write: false, Size: amba.Size32, Burst: amba.BurstIncr8, Gap: 2},
+					{Addr: 0x40, Write: true, Size: amba.Size32, Burst: amba.BurstWrap4, Data: []amba.Word{9, 9, 9, 9}},
+					{Addr: 0x40, Write: false, Size: amba.Size32, Burst: amba.BurstWrap4},
+					{Addr: 0x10, Write: false, Size: amba.Size32, Burst: amba.BurstIncr8, Gap: 5},
+				}}
+				m := NewTrafficMaster("m", gen, 3)
+				slave := newSlave()
+				b := bus.New("t")
+				b.AddMaster(m)
+				_, isIRQ := slave.(bus.IRQSource)
+				mask := uint32(0)
+				if isIRQ {
+					mask = 1
+				}
+				b.MapSlave(slave, bus.Region{Lo: 0, Hi: 0x1000}, mask)
+				ticker, _ := slave.(interface{ Tick(int64) })
+				step := func(i int) amba.CycleState {
+					st := b.Step().State
+					if ticker != nil {
+						ticker.Tick(int64(i))
+					}
+					return st
+				}
+				snaps := []rollback.Component{b, m, gen, slave.(rollback.Component)}
+				for i := 0; i < at; i++ {
+					step(i)
+				}
+				for _, s := range snaps {
+					s.Store()
+				}
+				const n = 60
+				var first []amba.CycleState
+				for i := 0; i < n; i++ {
+					first = append(first, step(at+i))
+				}
+				for _, s := range snaps {
+					s.Restore()
+				}
+				for i := 0; i < n; i++ {
+					if got := step(at + i); !got.Equal(first[i]) {
+						t.Fatalf("replay diverged at cycle %d:\nfirst:  %s\nreplay: %s", at+i, first[i], got)
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"coemu/internal/amba"
+	"coemu/internal/rollback"
 )
 
 func wordWrite(addr amba.Addr, w amba.Word) amba.AddrPhase {
@@ -12,10 +13,9 @@ func wordWrite(addr amba.Addr, w amba.Word) amba.AddrPhase {
 
 func TestMemoryJournalRestore(t *testing.T) {
 	m := NewSRAM("m")
-	m.SetJournaling(true)
 	m.PokeWord(0x100, 0x11111111)
 
-	snap := m.Save()
+	m.Store()
 	// Overwrite an existing word, create a fresh one, and poke a byte.
 	m.WriteCommit(wordWrite(0x100, 0), 0x22222222)
 	m.WriteCommit(wordWrite(0x200, 0), 0x33333333)
@@ -24,7 +24,7 @@ func TestMemoryJournalRestore(t *testing.T) {
 		t.Fatal("writes did not land")
 	}
 
-	m.Restore(snap)
+	m.Restore()
 	if got := m.PeekWord(0x100); got != 0x11111111 {
 		t.Fatalf("restored 0x100 = %08x", uint32(got))
 	}
@@ -39,62 +39,71 @@ func TestMemoryJournalRestore(t *testing.T) {
 	}
 }
 
-func TestMemoryJournalRepeatedTransitions(t *testing.T) {
-	// The engine's pattern: save, mutate, sometimes restore, save again.
+// TestMemoryRestoreTwiceRewindsAgain restores one store twice with
+// writes in between: the first restore must re-arm the copy-on-write
+// stash so the second rewinds the later writes too.
+func TestMemoryRestoreTwiceRewindsAgain(t *testing.T) {
 	m := NewSRAM("m")
-	m.SetJournaling(true)
-	control := NewSRAM("control") // full-copy mode as ground truth
+	m.PokeWord(0x100, 1)
+	m.Store()
+	m.WriteCommit(wordWrite(0x100, 0), 2)
+	m.Restore()
+	m.WriteCommit(wordWrite(0x100, 0), 3)
+	m.WriteCommit(wordWrite(0x2000, 0), 4)
+	m.Restore()
+	if got := m.PeekWord(0x100); got != 1 {
+		t.Fatalf("second restore left 0x100 = %d, want 1", got)
+	}
+	if got := m.PeekWord(0x2000); got != 0 {
+		t.Fatalf("second restore left 0x2000 = %d, want 0", got)
+	}
+}
 
-	write := func(addr amba.Addr, v amba.Word) {
-		m.WriteCommit(wordWrite(addr, 0), v)
-		control.WriteCommit(wordWrite(addr, 0), v)
+func TestMemoryJournalRepeatedTransitions(t *testing.T) {
+	// The engine's pattern: store, mutate, sometimes restore, store
+	// again. The ground truth is a plain word map with a full copy per
+	// store.
+	m := NewSRAM("m")
+	control, saved := map[amba.Addr]amba.Word{}, map[amba.Addr]amba.Word{}
+	copyMap := func(dst, src map[amba.Addr]amba.Word) {
+		clear(dst)
+		for k, v := range src {
+			dst[k] = v
+		}
 	}
 	for round := 0; round < 50; round++ {
-		sj := m.Save()
-		sc := control.Save()
+		m.Store()
+		copyMap(saved, control)
 		for i := 0; i < 10; i++ {
-			write(amba.Addr(0x100+4*((round*7+i*3)%64)), amba.Word(round*100+i))
+			a := amba.Addr(0x100 + 4*((round*7+i*3)%64))
+			v := amba.Word(round*100 + i)
+			m.WriteCommit(wordWrite(a, 0), v)
+			control[a] = v
 		}
 		if round%3 == 0 {
-			m.Restore(sj)
-			control.Restore(sc)
+			m.Restore()
+			copyMap(control, saved)
 		}
 	}
 	for a := amba.Addr(0x100); a < 0x200; a += 4 {
-		if m.PeekWord(a) != control.PeekWord(a) {
-			t.Fatalf("journal and copy modes diverge at %x: %08x vs %08x",
-				a, uint32(m.PeekWord(a)), uint32(control.PeekWord(a)))
+		if m.PeekWord(a) != control[a] {
+			t.Fatalf("journal and full copy diverge at %x: %08x vs %08x",
+				a, uint32(m.PeekWord(a)), uint32(control[a]))
 		}
 	}
 }
 
+// TestMemoryJournalStaleRestorePanics: a memory is restored only
+// through its domain's registry, which refuses a superseded store.
 func TestMemoryJournalStaleRestorePanics(t *testing.T) {
-	m := NewSRAM("m")
-	m.SetJournaling(true)
-	old := m.Save()
-	m.Save() // newer save invalidates old
+	var r rollback.Registry
+	r.Register("m", NewSRAM("m"), 1)
+	old := r.Store()
+	r.Store() // newer store invalidates old
 	defer func() {
 		if recover() == nil {
 			t.Fatal("stale journal restore must panic")
 		}
 	}()
-	m.Restore(old)
-}
-
-func TestJournalModeOffKeepsValueSemantics(t *testing.T) {
-	// Full-copy mode allows restoring any older snapshot.
-	m := NewSRAM("m")
-	m.PokeWord(0x10, 1)
-	s1 := m.Save()
-	m.PokeWord(0x10, 2)
-	s2 := m.Save()
-	m.PokeWord(0x10, 3)
-	m.Restore(s1)
-	if m.PeekWord(0x10) != 1 {
-		t.Fatal("restore s1 failed")
-	}
-	m.Restore(s2)
-	if m.PeekWord(0x10) != 2 {
-		t.Fatal("restore s2 failed")
-	}
+	r.Restore(old)
 }

@@ -4,7 +4,7 @@
 // error and retry responders).
 //
 // Every component is deterministic and snapshotable (implements
-// rollback.Snapshotter) so it can live in a leader domain and survive
+// rollback.Component) so it can live in a leader domain and survive
 // rollback/roll-forth replay bit-exactly.
 package ip
 

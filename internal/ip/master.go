@@ -1,7 +1,6 @@
 package ip
 
 import (
-	"fmt"
 	"math"
 
 	"coemu/internal/amba"
@@ -38,7 +37,7 @@ func (x Xfer) Beats() int {
 
 // Generator supplies a master with its transfer stream. Implementations
 // must be deterministic; when they carry state (counters, PRNGs) they
-// must also implement rollback.Snapshotter so a leader domain can replay
+// must also implement rollback.Component so a leader domain can replay
 // them.
 type Generator interface {
 	// Next returns the next transfer, or ok=false when the stream ends.
@@ -133,16 +132,9 @@ type TrafficMaster struct {
 	gen       Generator
 	busyEvery int
 
-	st  masterState
-	log []BeatResult
-
-	// dirty tracks mutation since the last MarkClean
-	// (rollback.DeltaSnapshotter). Commit sets it unconditionally (it
-	// always advances bookkeeping); Drive and SkipIdle set it only
-	// when they actually change LastAP or the gap countdown, so an
-	// idle master in a batched stretch stays clean and its snapshot is
-	// skipped.
-	dirty bool
+	st    masterState
+	saved masterState // rollback shadow
+	log   []BeatResult
 }
 
 var _ bus.Master = (*TrafficMaster)(nil)
@@ -154,7 +146,7 @@ func NewTrafficMaster(name string, gen Generator, busyEvery int) *TrafficMaster 
 	if gen == nil {
 		panic("ip: nil generator")
 	}
-	m := &TrafficMaster{name: name, gen: gen, busyEvery: busyEvery, dirty: true}
+	m := &TrafficMaster{name: name, gen: gen, busyEvery: busyEvery}
 	m.st.DataBeat = -1
 	m.st.Cur.BusyFor = -1
 	m.st.LastReady = true
@@ -206,13 +198,9 @@ func (m *TrafficMaster) QuiescentCycles() int64 {
 // address phase is the IDLE one Drive would have driven. Callers must
 // keep n <= QuiescentCycles().
 func (m *TrafficMaster) SkipIdle(n int64) {
-	if m.st.LastAP != (amba.AddrPhase{}) {
-		m.st.LastAP = amba.AddrPhase{}
-		m.dirty = true
-	}
+	m.st.LastAP = amba.AddrPhase{}
 	if m.st.Cur.Valid && m.st.Gap > 0 {
 		m.st.Gap -= int(n)
-		m.dirty = true
 	}
 }
 
@@ -272,10 +260,7 @@ func (m *TrafficMaster) Drive() bus.MasterDrive {
 	default:
 		d.AP = amba.AddrPhase{}
 	}
-	if d.AP != m.st.LastAP {
-		m.st.LastAP = d.AP
-		m.dirty = true
-	}
+	m.st.LastAP = d.AP
 	return d
 }
 
@@ -315,7 +300,6 @@ func (m *TrafficMaster) buildAP() amba.AddrPhase {
 
 // Commit implements bus.Master.
 func (m *TrafficMaster) Commit(fb bus.MasterFeedback) {
-	m.dirty = true
 	cur := &m.st.Cur
 
 	if cur.Valid && m.st.Gap > 0 {
@@ -410,52 +394,16 @@ func (m *TrafficMaster) logBeat(i int, rdata amba.Word, resp amba.Resp) {
 	m.st.LogLen = len(m.log)
 }
 
-// masterSnap freezes a TrafficMaster. masterState is fully value-typed
-// apart from Xfer.Data, which generators never mutate after handing the
-// transfer out, so a struct copy is a deep copy.
-type masterSnap struct {
-	St masterState
-}
+// Store implements rollback.Component. masterState is fully
+// value-typed apart from Xfer.Data, which generators never mutate after
+// handing the transfer out, so the shadow copy is a deep copy.
+func (m *TrafficMaster) Store() { m.saved = m.st }
 
-// Save implements rollback.Snapshotter.
-func (m *TrafficMaster) Save() any { return m.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a master.
-func (m *TrafficMaster) SaveInto(prev any) any {
-	s, ok := prev.(*masterSnap)
-	if !ok {
-		s = new(masterSnap)
-	}
-	s.St = m.st
-	return s
-}
-
-// Restore implements rollback.Snapshotter.
-func (m *TrafficMaster) Restore(v any) {
-	s, ok := v.(*masterSnap)
-	if !ok {
-		panic(fmt.Sprintf("ip: master %s: bad snapshot %T", m.name, v))
-	}
-	m.st = s.St
-	m.dirty = true
-	// The log is append-only; rolling back means truncating to the
-	// recorded length.
+// Restore implements rollback.Component. The beat log is append-only;
+// rolling back truncates it to the length recorded at the Store.
+func (m *TrafficMaster) Restore() {
+	m.st = m.saved
 	if m.st.LogLen <= len(m.log) {
 		m.log = m.log[:m.st.LogLen]
 	}
 }
-
-// Dirty implements rollback.DeltaSnapshotter.
-func (m *TrafficMaster) Dirty() bool { return m.dirty }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (m *TrafficMaster) MarkClean() { m.dirty = false }
-
-// SaveDelta implements rollback.DeltaSnapshotter; masterState is one
-// value struct, so deltas are self-contained copies.
-func (m *TrafficMaster) SaveDelta(prev any) any { return m.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (m *TrafficMaster) RestoreDelta(newest any) { m.Restore(newest) }

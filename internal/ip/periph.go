@@ -1,7 +1,6 @@
 package ip
 
 import (
-	"fmt"
 	"math"
 
 	"coemu/internal/amba"
@@ -31,6 +30,12 @@ type IRQPeriph struct {
 	name string
 	line uint32 // bitmask of the IRQ line this peripheral owns
 
+	periphState
+	saved periphState // rollback shadow
+}
+
+// periphState is the peripheral's registered state.
+type periphState struct {
 	countdown int64 // -1 idle
 	pending   bool
 	scratch   amba.Word
@@ -45,7 +50,7 @@ var (
 
 // NewIRQPeriph creates a peripheral owning the given IRQ line bit.
 func NewIRQPeriph(name string, line uint32) *IRQPeriph {
-	return &IRQPeriph{name: name, line: line, countdown: -1, waitLeft: -1}
+	return &IRQPeriph{name: name, line: line, periphState: periphState{countdown: -1, waitLeft: -1}}
 }
 
 // Name implements bus.Slave.
@@ -145,38 +150,8 @@ func (p *IRQPeriph) Commit(ready bool) {
 	}
 }
 
-// periphSnap freezes an IRQPeriph.
-type periphSnap struct {
-	Countdown int64
-	Pending   bool
-	Scratch   amba.Word
-	Raised    int64
-	WaitLeft  int
-}
+// Store implements rollback.Component.
+func (p *IRQPeriph) Store() { p.saved = p.periphState }
 
-// Save implements rollback.Snapshotter.
-func (p *IRQPeriph) Save() any { return p.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a peripheral.
-func (p *IRQPeriph) SaveInto(prev any) any {
-	s, ok := prev.(*periphSnap)
-	if !ok {
-		s = new(periphSnap)
-	}
-	*s = periphSnap{Countdown: p.countdown, Pending: p.pending, Scratch: p.scratch, Raised: p.raised, WaitLeft: p.waitLeft}
-	return s
-}
-
-// Restore implements rollback.Snapshotter.
-func (p *IRQPeriph) Restore(v any) {
-	s, ok := v.(*periphSnap)
-	if !ok {
-		panic(fmt.Sprintf("ip: periph %s: bad snapshot %T", p.name, v))
-	}
-	p.countdown = s.Countdown
-	p.pending = s.Pending
-	p.scratch = s.Scratch
-	p.raised = s.Raised
-	p.waitLeft = s.WaitLeft
-}
+// Restore implements rollback.Component.
+func (p *IRQPeriph) Restore() { p.periphState = p.saved }

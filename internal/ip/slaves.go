@@ -1,7 +1,6 @@
 package ip
 
 import (
-	"fmt"
 	"math"
 
 	"coemu/internal/amba"
@@ -20,11 +19,10 @@ const (
 	pageMask  = pageSize - 1
 )
 
-// memPage is one 4 KB page plus its dirty mark: stamp equals the
-// memory's current save sequence exactly when the page has already
-// been copy-on-write stashed in the current save interval. The mark is
-// the per-page dirty bitmap of the delta snapshot scheme — each write
-// costs one compare instead of a journal append, and only touched
+// memPage is one 4 KB page plus its stash mark: stamp equals the
+// memory's current store sequence exactly when the page has already
+// been copy-on-write stashed in the current store interval, so each
+// write costs one compare instead of a journal append and only touched
 // pages are ever copied.
 type memPage struct {
 	data  [pageSize]byte
@@ -45,54 +43,32 @@ type Memory struct {
 	firstWait int
 	nextWait  int
 
-	pages    map[amba.Addr]*memPage // key: addr >> pageShift
-	waitLeft int
-	inBurst  bool
-	reads    int64
-	writes   int64
+	pages map[amba.Addr]*memPage // key: addr >> pageShift
+	memCtrl
+	saved memCtrl // rollback shadow of memCtrl
 
-	// Journal mode: instead of deep-copying the pages on every Save
-	// (O(footprint)), copy-on-write stash the prior content of each
-	// page on its first write of a save interval and rewind on Restore
-	// (O(pages touched since the save)). The leader snapshots once per
-	// transition, so this is the difference between O(memory) and
-	// O(touched pages) work per transition on the host. Saves seal the
-	// interval in O(1).
-	journaling bool
-	undo       []pageUndo
-	undoFree   []*memPage
-	saveSeq    uint64
-
-	// mut/savedCtrl/cleanCtrl implement dirty tracking for delta
-	// snapshots: mut is set by any memory write, the ctrl compare
-	// catches wait-state and counter movement.
-	mut       bool
-	savedCtrl memCtrl
-	cleanCtrl bool
+	// The page table's shadow is a copy-on-write journal: the first
+	// write to a page after a Store stashes the page's prior content,
+	// and Restore copies the stashes back — O(pages touched since the
+	// store) rather than O(footprint). Store seals the interval in O(1).
+	undo     []pageUndo
+	undoFree []*memPage
+	storeSeq uint64
 }
 
 // pageUndo is one copy-on-write stash: the content a page held when
-// the current save interval began.
+// the current store interval began.
 type pageUndo struct {
 	key amba.Addr // page key (addr >> pageShift)
 	old *memPage
 }
 
-// memCtrl is the memory's non-page registered state, grouped for
-// compare-on-save dirty tracking.
+// memCtrl is the memory's non-page registered state.
 type memCtrl struct {
-	WaitLeft int
-	InBurst  bool
-	Reads    int64
-	Writes   int64
-}
-
-// Journaler is implemented by components supporting O(1) snapshots via
-// undo journaling. Journal mode restricts the snapshot discipline: only
-// the most recent Save may be restored (exactly the leader's rollback
-// pattern).
-type Journaler interface {
-	SetJournaling(bool)
+	waitLeft int
+	inBurst  bool
+	reads    int64
+	writes   int64
 }
 
 var _ bus.Slave = (*Memory)(nil)
@@ -107,7 +83,7 @@ func NewMemory(name string, firstWait, nextWait int) *Memory {
 		firstWait: firstWait,
 		nextWait:  nextWait,
 		pages:     make(map[amba.Addr]*memPage),
-		waitLeft:  -1,
+		memCtrl:   memCtrl{waitLeft: -1},
 	}
 }
 
@@ -135,7 +111,6 @@ func (s *Memory) pageFor(a amba.Addr, create bool) *memPage {
 func (s *Memory) Poke(a amba.Addr, b byte) {
 	p := s.pageFor(a, true)
 	s.stash(a, p)
-	s.mut = true
 	p.data[a&pageMask] = b
 }
 
@@ -153,7 +128,6 @@ func (s *Memory) PokeWord(a amba.Addr, w amba.Word) {
 	a &^= 3
 	p := s.pageFor(a, true)
 	s.stash(a, p)
-	s.mut = true
 	off := a & pageMask
 	for i := 0; i < 4; i++ {
 		p.data[off+amba.Addr(i)] = byte(w >> (8 * uint(i)))
@@ -176,11 +150,11 @@ func (s *Memory) PeekWord(a amba.Addr) amba.Word {
 }
 
 // stash copy-on-write saves page p (holding address a) into the
-// current save interval's undo list unless it is already there. It is
-// a no-op outside journal mode or before the first save — writes that
-// can never be rolled across must not grow an unbounded undo list.
+// current store interval's undo list unless it is already there. It is
+// a no-op before the first Store — writes that can never be rolled
+// across must not grow an unbounded undo list.
 func (s *Memory) stash(a amba.Addr, p *memPage) {
-	if !s.journaling || s.saveSeq == 0 || p.stamp == s.saveSeq {
+	if s.storeSeq == 0 || p.stamp == s.storeSeq {
 		return
 	}
 	var buf *memPage
@@ -192,7 +166,7 @@ func (s *Memory) stash(a amba.Addr, p *memPage) {
 	}
 	*buf = *p
 	s.undo = append(s.undo, pageUndo{key: a >> pageShift, old: buf})
-	p.stamp = s.saveSeq
+	p.stamp = s.storeSeq
 }
 
 // waits returns the wait-state budget for a new beat.
@@ -232,19 +206,12 @@ func (s *Memory) WriteCommit(ap amba.AddrPhase, wdata amba.Word) {
 	m := laneMask(ap.Addr, ap.Size)
 	p := s.pageFor(base, true)
 	s.stash(base, p)
-	s.mut = true
 	off := base & pageMask
 	for i := 0; i < 4; i++ {
 		if m&(0xff<<(8*uint(i))) != 0 {
 			p.data[off+amba.Addr(i)] = byte(wdata >> (8 * uint(i)))
 		}
 	}
-}
-
-// SetJournaling implements Journaler.
-func (s *Memory) SetJournaling(on bool) {
-	s.journaling = on
-	s.recycleUndo()
 }
 
 // recycleUndo empties the undo list, returning page buffers to the
@@ -272,122 +239,27 @@ func (s *Memory) Commit(ready bool) {
 // within a data-phase run; Reset clears it.
 func (s *Memory) TickIdle() { s.inBurst = false }
 
-// memorySnap freezes a Memory. In journal mode Mem is nil and Seq pins
-// the snapshot to the most recent Save.
-type memorySnap struct {
-	Mem      map[amba.Addr]*memPage
-	Seq      uint64
-	WaitLeft int
-	InBurst  bool
-	Reads    int64
-	Writes   int64
+// Store implements rollback.Component: it shadows the control state
+// and seals the copy-on-write interval in O(1).
+func (s *Memory) Store() {
+	s.recycleUndo()
+	s.storeSeq++
+	s.saved = s.memCtrl
 }
 
-// Save implements rollback.Snapshotter.
-func (s *Memory) Save() any { return s.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter. In journal mode the
-// save is O(1) — it seals the current copy-on-write interval — and,
-// with a recycled prev, allocation-free; otherwise the page table is
-// deep-copied into prev's map (cleared first) or a fresh one.
-func (s *Memory) SaveInto(prev any) any {
-	snap, ok := prev.(*memorySnap)
-	if !ok {
-		snap = new(memorySnap)
+// Restore implements rollback.Component: it copies every page stashed
+// since the Store back — restoring both content and the pre-interval
+// stamp, so later writes stash afresh — and the control state.
+func (s *Memory) Restore() {
+	for i := range s.undo {
+		u := s.undo[i]
+		// The page exists: the stash was recorded by the write that
+		// dirtied it.
+		*s.pages[u.key] = *u.old
 	}
-	snap.WaitLeft = s.waitLeft
-	snap.InBurst = s.inBurst
-	snap.Reads = s.reads
-	snap.Writes = s.writes
-	if s.journaling {
-		s.recycleUndo()
-		s.saveSeq++
-		snap.Seq = s.saveSeq
-		snap.Mem = nil
-		return snap
-	}
-	snap.Seq = 0
-	if snap.Mem == nil {
-		snap.Mem = make(map[amba.Addr]*memPage, len(s.pages))
-	}
-	copyPages(snap.Mem, s.pages)
-	return snap
+	s.recycleUndo()
+	s.memCtrl = s.saved
 }
-
-// copyPages deep-copies src into dst, recycling dst's page buffers and
-// dropping keys absent from src.
-func copyPages(dst, src map[amba.Addr]*memPage) {
-	for k := range dst {
-		if _, ok := src[k]; !ok {
-			delete(dst, k)
-		}
-	}
-	for k, sp := range src {
-		dp := dst[k]
-		if dp == nil {
-			dp = new(memPage)
-			dst[k] = dp
-		}
-		*dp = *sp
-	}
-}
-
-// Restore implements rollback.Snapshotter.
-func (s *Memory) Restore(v any) {
-	snap, ok := v.(*memorySnap)
-	if !ok {
-		panic(fmt.Sprintf("ip: memory %s: bad snapshot %T", s.name, v))
-	}
-	if s.journaling {
-		if snap.Seq != s.saveSeq {
-			panic(fmt.Sprintf("ip: memory %s: journal restore of stale snapshot (seq %d, current %d)",
-				s.name, snap.Seq, s.saveSeq))
-		}
-		for i := range s.undo {
-			u := s.undo[i]
-			// The page exists: the stash was recorded by the write that
-			// dirtied it. The copy restores both the content and the
-			// pre-interval stamp.
-			*s.pages[u.key] = *u.old
-		}
-		s.recycleUndo()
-	} else {
-		copyPages(s.pages, snap.Mem)
-	}
-	s.waitLeft = snap.WaitLeft
-	s.inBurst = snap.InBurst
-	s.reads = snap.Reads
-	s.writes = snap.Writes
-	s.mut = true
-}
-
-// ctrl groups the non-page registered state for dirty comparison.
-func (s *Memory) ctrl() memCtrl {
-	return memCtrl{WaitLeft: s.waitLeft, InBurst: s.inBurst, Reads: s.reads, Writes: s.writes}
-}
-
-// Dirty implements rollback.DeltaSnapshotter: any write since the last
-// MarkClean (mut), or any wait-state/counter movement (ctrl compare),
-// makes the memory dirty.
-func (s *Memory) Dirty() bool { return s.mut || !s.cleanCtrl || s.ctrl() != s.savedCtrl }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (s *Memory) MarkClean() {
-	s.mut = false
-	s.savedCtrl = s.ctrl()
-	s.cleanCtrl = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter. In journal mode a
-// save is already incremental (an O(1) interval seal whose cost was
-// paid page-by-page as writes landed), so the delta is the same
-// record; deltas are restorable newest-only, which Registry.Restore
-// and the seal sequence check both enforce.
-func (s *Memory) SaveDelta(prev any) any { return s.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (s *Memory) RestoreDelta(newest any) { s.Restore(newest) }
 
 // JitterMemory is a memory whose per-beat wait states vary pseudo-
 // randomly in [base, base+spread]. Its latency cannot be tracked by a
@@ -397,7 +269,6 @@ type JitterMemory struct {
 	Memory
 	rng    *rng.Source
 	spread int
-	own    bool // rng consumed since MarkClean (delta dirty tracking)
 }
 
 // NewJitterMemory creates a jittery memory with the given base wait
@@ -415,66 +286,34 @@ func NewJitterMemory(name string, base, spread int, seed uint64) *JitterMemory {
 func (j *JitterMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 	if j.waitLeft < 0 {
 		j.waitLeft = j.firstWait + j.rng.Intn(j.spread+1)
-		j.own = true
 	}
 	return j.Memory.Respond(ap)
 }
 
-// jitterSnap composes the memory snapshot with the PRNG state.
-type jitterSnap struct {
-	Mem any
-	Rng any
+// Store implements rollback.Component. Wrappers around Memory must
+// define their own Store and Restore: the embedded Memory's would
+// otherwise be promoted and shadow only the memory half.
+func (j *JitterMemory) Store() {
+	j.Memory.Store()
+	j.rng.Store()
 }
 
-// Save implements rollback.Snapshotter.
-func (j *JitterMemory) Save() any { return j.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter. Wrappers around
-// Memory must define their own SaveInto: the embedded Memory's would
-// otherwise be promoted and snapshot only the memory half.
-func (j *JitterMemory) SaveInto(prev any) any {
-	s, ok := prev.(*jitterSnap)
-	if !ok {
-		s = new(jitterSnap)
-	}
-	s.Mem = j.Memory.SaveInto(s.Mem)
-	s.Rng = j.rng.SaveInto(s.Rng)
-	return s
+// Restore implements rollback.Component.
+func (j *JitterMemory) Restore() {
+	j.Memory.Restore()
+	j.rng.Restore()
 }
-
-// Restore implements rollback.Snapshotter.
-func (j *JitterMemory) Restore(v any) {
-	s, ok := v.(*jitterSnap)
-	if !ok {
-		panic(fmt.Sprintf("ip: jitter memory: bad snapshot %T", v))
-	}
-	j.Memory.Restore(s.Mem)
-	j.rng.Restore(s.Rng)
-	j.own = true
-}
-
-// Dirty implements rollback.DeltaSnapshotter (wrappers must override
-// the embedded Memory's delta methods; see JitterMemory.SaveInto).
-func (j *JitterMemory) Dirty() bool { return j.own || j.Memory.Dirty() }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (j *JitterMemory) MarkClean() {
-	j.own = false
-	j.Memory.MarkClean()
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter: the composed save is
-// already incremental in journal mode (see Memory.SaveDelta).
-func (j *JitterMemory) SaveDelta(prev any) any { return j.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (j *JitterMemory) RestoreDelta(newest any) { j.Restore(newest) }
 
 // ErrorSlave responds to every active beat with a two-cycle ERROR, the
 // behavior of the AHB default slave, packaged as a mappable component.
 type ErrorSlave struct {
-	name   string
+	name string
+	errorState
+	saved errorState // rollback shadow
+}
+
+// errorState is the error slave's registered state.
+type errorState struct {
 	second bool
 	errors int64
 }
@@ -506,19 +345,11 @@ func (e *ErrorSlave) WriteCommit(amba.AddrPhase, amba.Word) {}
 // Commit implements bus.Slave.
 func (e *ErrorSlave) Commit(ready bool) { e.second = !ready }
 
-// Save implements rollback.Snapshotter.
-func (e *ErrorSlave) Save() any { return *e }
+// Store implements rollback.Component.
+func (e *ErrorSlave) Store() { e.saved = e.errorState }
 
-// Restore implements rollback.Snapshotter.
-func (e *ErrorSlave) Restore(v any) {
-	s, ok := v.(ErrorSlave)
-	if !ok {
-		panic(fmt.Sprintf("ip: error slave: bad snapshot %T", v))
-	}
-	name := e.name
-	*e = s
-	e.name = name
-}
+// Restore implements rollback.Component.
+func (e *ErrorSlave) Restore() { e.errorState = e.saved }
 
 // RetryMemory wraps a Memory and issues a two-cycle RETRY for the first
 // attempt of every retryEvery-th beat, forcing masters through the
@@ -526,11 +357,16 @@ func (e *ErrorSlave) Restore(v any) {
 type RetryMemory struct {
 	Memory
 	retryEvery int
+	retryState
+	savedRetry retryState // rollback shadow of retryState
+}
+
+// retryState is the retry bookkeeping RetryMemory adds to Memory.
+type retryState struct {
 	beatCount  int64
 	retryPhase int // 0 none, 1 first RETRY cycle issued
 	retryDone  bool
 	retries    int64
-	own        bool // retry bookkeeping moved since MarkClean
 }
 
 var _ bus.Slave = (*RetryMemory)(nil)
@@ -556,7 +392,6 @@ func (r *RetryMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 	if !r.retryDone && (r.beatCount+1)%int64(r.retryEvery) == 0 {
 		r.retries++
 		r.retryPhase = 1
-		r.own = true
 		return amba.SlaveReply{Ready: false, Resp: amba.RespRetry}
 	}
 	return r.Memory.Respond(ap)
@@ -564,7 +399,6 @@ func (r *RetryMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 
 // Commit implements bus.Slave.
 func (r *RetryMemory) Commit(ready bool) {
-	r.own = true
 	if r.retryPhase == 1 {
 		if ready {
 			// RETRY sequence finished; the retried beat will come back
@@ -590,6 +424,12 @@ type SplitMemory struct {
 	splitEvery   int
 	releaseAfter int
 
+	splitState
+	savedSplit splitState // rollback shadow of splitState
+}
+
+// splitState is the split bookkeeping SplitMemory adds to Memory.
+type splitState struct {
 	beatCount     int64
 	phase         int // 0 none, 1 first SPLIT cycle issued
 	splitDone     bool
@@ -597,7 +437,6 @@ type SplitMemory struct {
 	countdown     int // -1 idle
 	release       uint32
 	splits        int64
-	own           bool // split bookkeeping moved since MarkClean
 }
 
 var (
@@ -615,7 +454,7 @@ func NewSplitMemory(name string, waits, splitEvery, releaseAfter int) *SplitMemo
 	if releaseAfter < 0 {
 		panic("ip: negative releaseAfter")
 	}
-	s := &SplitMemory{splitEvery: splitEvery, releaseAfter: releaseAfter, countdown: -1}
+	s := &SplitMemory{splitEvery: splitEvery, releaseAfter: releaseAfter, splitState: splitState{countdown: -1}}
 	s.Memory = *NewMemory(name, waits, waits)
 	return s
 }
@@ -631,7 +470,6 @@ func (s *SplitMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 	if !s.splitDone && (s.beatCount+1)%int64(s.splitEvery) == 0 {
 		s.splits++
 		s.phase = 1
-		s.own = true
 		return amba.SlaveReply{Ready: false, Resp: amba.RespSplit}
 	}
 	return s.Memory.Respond(ap)
@@ -639,7 +477,6 @@ func (s *SplitMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 
 // Commit implements bus.Slave.
 func (s *SplitMemory) Commit(ready bool) {
-	s.own = true
 	if s.phase == 1 {
 		if ready {
 			s.phase = 0
@@ -658,7 +495,6 @@ func (s *SplitMemory) Commit(ready bool) {
 func (s *SplitMemory) NotifySplit(master int) {
 	s.pendingMaster = master
 	s.countdown = s.releaseAfter
-	s.own = true
 }
 
 // Tick implements sim.Clocked: the release countdown runs on the target
@@ -669,10 +505,8 @@ func (s *SplitMemory) Tick(int64) {
 	case s.countdown == 0:
 		s.release |= 1 << uint(s.pendingMaster)
 		s.countdown = -1
-		s.own = true
 	default:
 		s.countdown--
-		s.own = true
 	}
 }
 
@@ -695,7 +529,6 @@ func (s *SplitMemory) QuiescentFor() int64 {
 func (s *SplitMemory) SkipQuiescent(n int64) {
 	if s.countdown >= 0 {
 		s.countdown -= int(n)
-		s.own = true
 	}
 }
 
@@ -703,132 +536,32 @@ func (s *SplitMemory) SkipQuiescent(n int64) {
 // the one bus Evaluate of the cycle.
 func (s *SplitMemory) SplitRelease() uint32 {
 	r := s.release
-	if r != 0 {
-		s.release = 0
-		s.own = true
-	}
+	s.release = 0
 	return r
 }
 
-// splitSnap composes the memory snapshot with split bookkeeping.
-type splitSnap struct {
-	Mem           any
-	BeatCount     int64
-	Phase         int
-	SplitDone     bool
-	PendingMaster int
-	Countdown     int
-	Release       uint32
-	Splits        int64
+// Store implements rollback.Component (wrappers must override the
+// embedded Memory's; see JitterMemory.Store).
+func (s *SplitMemory) Store() {
+	s.Memory.Store()
+	s.savedSplit = s.splitState
 }
 
-// Save implements rollback.Snapshotter.
-func (s *SplitMemory) Save() any { return s.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter (wrappers must
-// override the embedded Memory's SaveInto; see JitterMemory.SaveInto).
-func (s *SplitMemory) SaveInto(prev any) any {
-	snap, ok := prev.(*splitSnap)
-	if !ok {
-		snap = new(splitSnap)
-	}
-	snap.Mem = s.Memory.SaveInto(snap.Mem)
-	snap.BeatCount = s.beatCount
-	snap.Phase = s.phase
-	snap.SplitDone = s.splitDone
-	snap.PendingMaster = s.pendingMaster
-	snap.Countdown = s.countdown
-	snap.Release = s.release
-	snap.Splits = s.splits
-	return snap
+// Restore implements rollback.Component.
+func (s *SplitMemory) Restore() {
+	s.Memory.Restore()
+	s.splitState = s.savedSplit
 }
 
-// Restore implements rollback.Snapshotter.
-func (s *SplitMemory) Restore(v any) {
-	snap, ok := v.(*splitSnap)
-	if !ok {
-		panic(fmt.Sprintf("ip: split memory: bad snapshot %T", v))
-	}
-	s.Memory.Restore(snap.Mem)
-	s.beatCount = snap.BeatCount
-	s.phase = snap.Phase
-	s.splitDone = snap.SplitDone
-	s.pendingMaster = snap.PendingMaster
-	s.countdown = snap.Countdown
-	s.release = snap.Release
-	s.splits = snap.Splits
-	s.own = true
+// Store implements rollback.Component (wrappers must override the
+// embedded Memory's; see JitterMemory.Store).
+func (r *RetryMemory) Store() {
+	r.Memory.Store()
+	r.savedRetry = r.retryState
 }
 
-// Dirty implements rollback.DeltaSnapshotter (wrapper override).
-func (s *SplitMemory) Dirty() bool { return s.own || s.Memory.Dirty() }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (s *SplitMemory) MarkClean() {
-	s.own = false
-	s.Memory.MarkClean()
+// Restore implements rollback.Component.
+func (r *RetryMemory) Restore() {
+	r.Memory.Restore()
+	r.retryState = r.savedRetry
 }
-
-// SaveDelta implements rollback.DeltaSnapshotter.
-func (s *SplitMemory) SaveDelta(prev any) any { return s.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (s *SplitMemory) RestoreDelta(newest any) { s.Restore(newest) }
-
-// retrySnap composes the memory snapshot with retry bookkeeping.
-type retrySnap struct {
-	Mem        any
-	BeatCount  int64
-	RetryPhase int
-	RetryDone  bool
-	Retries    int64
-}
-
-// Save implements rollback.Snapshotter.
-func (r *RetryMemory) Save() any { return r.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter (wrappers must
-// override the embedded Memory's SaveInto; see JitterMemory.SaveInto).
-func (r *RetryMemory) SaveInto(prev any) any {
-	s, ok := prev.(*retrySnap)
-	if !ok {
-		s = new(retrySnap)
-	}
-	s.Mem = r.Memory.SaveInto(s.Mem)
-	s.BeatCount = r.beatCount
-	s.RetryPhase = r.retryPhase
-	s.RetryDone = r.retryDone
-	s.Retries = r.retries
-	return s
-}
-
-// Restore implements rollback.Snapshotter.
-func (r *RetryMemory) Restore(v any) {
-	s, ok := v.(*retrySnap)
-	if !ok {
-		panic(fmt.Sprintf("ip: retry memory: bad snapshot %T", v))
-	}
-	r.Memory.Restore(s.Mem)
-	r.beatCount = s.BeatCount
-	r.retryPhase = s.RetryPhase
-	r.retryDone = s.RetryDone
-	r.retries = s.Retries
-	r.own = true
-}
-
-// Dirty implements rollback.DeltaSnapshotter (wrapper override).
-func (r *RetryMemory) Dirty() bool { return r.own || r.Memory.Dirty() }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (r *RetryMemory) MarkClean() {
-	r.own = false
-	r.Memory.MarkClean()
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter.
-func (r *RetryMemory) SaveDelta(prev any) any { return r.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (r *RetryMemory) RestoreDelta(newest any) { r.Restore(newest) }

@@ -5,6 +5,7 @@ import (
 
 	"coemu/internal/amba"
 	"coemu/internal/bus"
+	"coemu/internal/rollback"
 )
 
 // runSplit steps a bus whose slaves include SplitMemory instances,
@@ -139,15 +140,17 @@ func TestSplitMemorySnapshotReplay(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		step(i)
 	}
-	snaps := []any{b.Save(), m.Save(), gen.Save(), mem.Save()}
+	snaps := []rollback.Component{b, m, gen, mem}
+	for _, s := range snaps {
+		s.Store()
+	}
 	var first []amba.CycleState
 	for i := 6; i < 40; i++ {
 		first = append(first, step(i))
 	}
-	b.Restore(snaps[0])
-	m.Restore(snaps[1])
-	gen.Restore(snaps[2])
-	mem.Restore(snaps[3])
+	for _, s := range snaps {
+		s.Restore()
+	}
 	for i := 6; i < 40; i++ {
 		got := step(i)
 		if !got.Equal(first[i-6]) {

@@ -37,7 +37,8 @@ const Unbounded = int64(math.MaxInt64)
 // long bursts, "the arbitration result tends to change only occasionally
 // and we can effectively predict its value from its previous one" (§3).
 type LastValue struct {
-	v uint32
+	v     uint32
+	saved uint32 // rollback shadow
 }
 
 // Predict returns the predicted value.
@@ -46,29 +47,11 @@ func (l *LastValue) Predict() uint32 { return l.v }
 // Observe records the actual value.
 func (l *LastValue) Observe(v uint32) { l.v = v }
 
-// Save implements rollback.Snapshotter.
-func (l *LastValue) Save() any { return l.SaveInto(nil) }
+// Store implements rollback.Component.
+func (l *LastValue) Store() { l.saved = l.v }
 
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a LastValue (boxing a uint32
-// heap-allocates once the value leaves the runtime's small-int cache).
-func (l *LastValue) SaveInto(prev any) any {
-	v, ok := prev.(*uint32)
-	if !ok {
-		v = new(uint32)
-	}
-	*v = l.v
-	return v
-}
-
-// Restore implements rollback.Snapshotter.
-func (l *LastValue) Restore(s any) {
-	v, ok := s.(*uint32)
-	if !ok {
-		panic(fmt.Sprintf("predict: lastvalue: bad snapshot %T", s))
-	}
-	l.v = *v
-}
+// Restore implements rollback.Component.
+func (l *LastValue) Restore() { l.v = l.saved }
 
 // BurstTracker predicts the address/control signals of a remote bus
 // master by extrapolating its current burst. A prediction is only
@@ -90,7 +73,8 @@ type BurstTracker struct {
 	// PredictStarts predicts the next NONSEQ by stride extrapolation.
 	PredictStarts bool
 
-	st burstState
+	st    burstState
+	saved burstState // rollback shadow
 }
 
 type burstState struct {
@@ -246,28 +230,11 @@ func (t *BurstTracker) SkipIdle(n int64) {
 	}
 }
 
-// Save implements rollback.Snapshotter.
-func (t *BurstTracker) Save() any { return t.SaveInto(nil) }
+// Store implements rollback.Component.
+func (t *BurstTracker) Store() { t.saved = t.st }
 
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a tracker.
-func (t *BurstTracker) SaveInto(prev any) any {
-	st, ok := prev.(*burstState)
-	if !ok {
-		st = new(burstState)
-	}
-	*st = t.st
-	return st
-}
-
-// Restore implements rollback.Snapshotter.
-func (t *BurstTracker) Restore(s any) {
-	st, ok := s.(*burstState)
-	if !ok {
-		panic(fmt.Sprintf("predict: bursttracker: bad snapshot %T", s))
-	}
-	t.st = *st
-}
+// Restore implements rollback.Component.
+func (t *BurstTracker) Restore() { t.st = t.saved }
 
 // WaitModel predicts a slave's HREADY sequence with the same
 // producer-consumer wait machinery the deterministic memory slaves run:
@@ -281,7 +248,8 @@ func (t *BurstTracker) Restore(s any) {
 type WaitModel struct {
 	First, Next int
 
-	st waitState
+	st    waitState
+	saved waitState // rollback shadow
 }
 
 type waitState struct {
@@ -322,28 +290,11 @@ func (w *WaitModel) Observe(ready bool) {
 	w.st.WaitLeft = max(w.waitLeft()-1, 0)
 }
 
-// Save implements rollback.Snapshotter.
-func (w *WaitModel) Save() any { return w.SaveInto(nil) }
+// Store implements rollback.Component.
+func (w *WaitModel) Store() { w.saved = w.st }
 
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a wait model.
-func (w *WaitModel) SaveInto(prev any) any {
-	st, ok := prev.(*waitState)
-	if !ok {
-		st = new(waitState)
-	}
-	*st = w.st
-	return st
-}
-
-// Restore implements rollback.Snapshotter.
-func (w *WaitModel) Restore(s any) {
-	st, ok := s.(*waitState)
-	if !ok {
-		panic(fmt.Sprintf("predict: waitmodel: bad snapshot %T", s))
-	}
-	w.st = *st
-}
+// Restore implements rollback.Component.
+func (w *WaitModel) Restore() { w.st = w.saved }
 
 // FaultInjector pins prediction accuracy for the evaluation sweeps: each
 // checked prediction is declared wrong with probability 1-p, regardless

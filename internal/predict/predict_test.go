@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"reflect"
 	"testing"
 
 	"coemu/internal/amba"
@@ -17,9 +16,9 @@ func TestLastValue(t *testing.T) {
 	if l.Predict() != 0b101 {
 		t.Fatal("last value not tracked")
 	}
-	s := l.Save()
+	l.Store()
 	l.Observe(0b111)
-	l.Restore(s)
+	l.Restore()
 	if l.Predict() != 0b101 {
 		t.Fatal("restore failed")
 	}
@@ -85,10 +84,10 @@ func TestBurstTrackerIncrUnbounded(t *testing.T) {
 func TestBurstTrackerSnapshot(t *testing.T) {
 	var b BurstTracker
 	b.Observe(amba.AddrPhase{Addr: 0x10, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr8})
-	s := b.Save()
+	b.Store()
 	p1, _ := b.Predict()
 	b.Observe(p1)
-	b.Restore(s)
+	b.Restore()
 	p2, _ := b.Predict()
 	if p1 != p2 {
 		t.Fatal("snapshot replay diverged")
@@ -110,12 +109,12 @@ func TestWaitModelMirrorsMemoryProfile(t *testing.T) {
 			m := ip.NewMemory("mem", first, next)
 			ap := amba.AddrPhase{Trans: amba.TransNonSeq, Write: true, Size: amba.Size32, Burst: amba.BurstIncr4}
 			for done, cycle := 0, 0; done < bursts*beats; cycle++ {
-				before := w.Save()
+				before := w.st
 				pred := w.Predict()
 				if again := w.Predict(); again != pred {
 					t.Fatalf("(%d,%d) cycle %d: Predict not repeatable: %v then %v", first, next, cycle, pred, again)
 				}
-				if after := w.Save(); !reflect.DeepEqual(before, after) {
+				if after := w.st; after != before {
 					t.Fatalf("(%d,%d) cycle %d: Predict moved the model: %+v -> %+v", first, next, cycle, before, after)
 				}
 				ready := m.Respond(ap).Ready
@@ -152,11 +151,11 @@ func TestWaitModelObserveRealigns(t *testing.T) {
 func TestWaitModelSnapshot(t *testing.T) {
 	w := NewWaitModel(3, 1)
 	w.Observe(false)
-	s := w.Save()
+	w.Store()
 	a := w.Predict()
 	w.Observe(false)
 	w.Observe(false)
-	w.Restore(s)
+	w.Restore()
 	b := w.Predict()
 	if a != b {
 		t.Fatal("snapshot replay diverged")

@@ -12,7 +12,8 @@ package rng
 // Source is a snapshotable xorshift64* PRNG. The zero value is invalid;
 // use New.
 type Source struct {
-	s uint64
+	s     uint64
+	saved uint64 // rollback shadow
 }
 
 // New returns a source seeded with seed. A zero seed is remapped to a
@@ -61,26 +62,8 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Save implements rollback.Snapshotter.
-func (r *Source) Save() any { return r.SaveInto(nil) }
+// Store implements rollback.Component.
+func (r *Source) Store() { r.saved = r.s }
 
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a source (boxing the raw
-// uint64 state would heap-allocate on almost every save).
-func (r *Source) SaveInto(prev any) any {
-	p, ok := prev.(*uint64)
-	if !ok {
-		p = new(uint64)
-	}
-	*p = r.s
-	return p
-}
-
-// Restore implements rollback.Snapshotter.
-func (r *Source) Restore(v any) {
-	s, ok := v.(*uint64)
-	if !ok {
-		panic("rng: bad snapshot type")
-	}
-	r.s = *s
-}
+// Restore implements rollback.Component.
+func (r *Source) Restore() { r.s = r.saved }

@@ -26,12 +26,12 @@ func TestSaveRestore(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		r.Uint64()
 	}
-	s := r.Save()
+	r.Store()
 	var first []uint64
 	for i := 0; i < 50; i++ {
 		first = append(first, r.Uint64())
 	}
-	r.Restore(s)
+	r.Restore()
 	for i := 0; i < 50; i++ {
 		if got := r.Uint64(); got != first[i] {
 			t.Fatalf("replay diverged at %d", i)
@@ -90,14 +90,4 @@ func TestBoolProbability(t *testing.T) {
 	if frac < 0.28 || frac > 0.32 {
 		t.Errorf("Bool(0.3) frequency = %g", frac)
 	}
-}
-
-func TestRestoreBadTypePanics(t *testing.T) {
-	r := New(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad snapshot must panic")
-		}
-	}()
-	r.Restore("nope")
 }

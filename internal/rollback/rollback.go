@@ -3,13 +3,18 @@
 // state before running ahead (the paper's rb_store, P-5) and restores it
 // when the lagger reports a misprediction (rb_restore, S-6).
 //
-// Components register as Snapshotters with a Registry. A Registry.Save
-// captures every component atomically; Restore rewinds them all. The cost
-// of a store/restore is modeled, not measured: a hardware accelerator
-// shadows its registers in parallel (tens of nanoseconds regardless of
-// state size), while a software simulator copies its rollback variables
-// one by one (cost linear in the variable count). Both cost models come
-// from fitting the paper's Table 2 and SLA figures; see DESIGN.md §5.
+// The accelerator does this with shadow registers, and so does every
+// component here: a Component keeps one typed shadow of its registered
+// state, Store copies the live state into it and Restore copies it back.
+// Only one snapshot per domain is ever live, so one shadow suffices. A
+// Registry stores or restores every component of a domain at once and
+// hands out Snapshot handles that pin the store they came from. The
+// cost of a store/restore is modeled, not measured: a hardware
+// accelerator shadows its registers in parallel (tens of nanoseconds
+// regardless of state size), while a software simulator copies its
+// rollback variables one by one (cost linear in the variable count).
+// Both cost models come from fitting the paper's Table 2 and SLA
+// figures; see DESIGN.md §5.
 //
 // Registries are not safe for concurrent use; each domain owns its
 // registry exclusively and the engine drives it from one goroutine.
@@ -20,29 +25,16 @@ import (
 	"time"
 )
 
-// Snapshotter is implemented by every stateful component of a leader
-// domain. Save must return a deep, self-contained copy: a Restore with
-// that value must reproduce the exact externally visible behavior, or
-// roll-forth replay diverges and the equivalence invariant breaks.
-type Snapshotter interface {
-	Save() any
-	Restore(any)
-}
-
-// InPlaceSnapshotter is an optional extension of Snapshotter for
-// components on the once-per-transition store path. SaveInto behaves
-// like Save but may recycle prev — a value previously returned by Save
-// or SaveInto of the same component — instead of heap-allocating a
-// fresh snapshot. Passing nil (or a foreign value) must fall back to
-// allocating, so SaveInto(nil) is always equivalent to Save().
-//
-// The contract mirrors the leader's rollback discipline: at most one
-// snapshot is live at a time, so recycling the previous transition's
-// buffers is safe. Callers that need overlapping snapshot lifetimes
-// (tests, checkpointing) must keep using Save.
-type InPlaceSnapshotter interface {
-	Snapshotter
-	SaveInto(prev any) any
+// Component is implemented by every stateful part of a leader domain.
+// Store copies the live state into the component's shadow; Restore
+// copies the shadow back. After a Restore the component must behave
+// exactly as it did at the Store — same outputs for the same inputs —
+// or roll-forth replay diverges and the equivalence invariant breaks.
+// Restore may be called any number of times per Store, and a Store
+// after a Restore starts a new interval.
+type Component interface {
+	Store()
+	Restore()
 }
 
 // CostModel prices a store or restore of n rollback variables.
@@ -87,112 +79,66 @@ func SoftwareCost() CostModel {
 	}
 }
 
-// Registry holds the snapshotters of one domain in registration order.
+// Registry holds the components of one domain in registration order.
 type Registry struct {
-	snaps []entry
+	comps []Component
 	vars  int
-
-	// Incremental (delta) saving state; see SetDeltaCadence. cadence
-	// 0/1 keeps every save full. The ring holds the last saves since
-	// the anchor (slot 0, always a full capture); pos is the most
-	// recent slot, seq the save sequence number handles are checked
-	// against.
-	cadence int
-	ring    []ringSlot
-	pos     int
-	seq     uint64
-	lastCap []int // per component: ring slot of its newest capture
+	seq   uint64 // number of Stores so far; handles are checked against it
 }
 
-type entry struct {
-	name string
-	s    Snapshotter
-	ips  InPlaceSnapshotter // non-nil when s supports in-place saves
-	ds   DeltaSnapshotter   // non-nil when s supports delta saves
-}
-
-// Snapshot is an atomic capture of a whole Registry. Snapshots from
-// Save/SaveInto are self-contained; snapshots from SaveIncremental are
-// handles into the registry's delta ring, restorable only while they
-// are the registry's most recent save.
+// Snapshot is a handle to a Registry's most recent Store. Only that
+// store is restorable: a newer Store overwrites every shadow.
 type Snapshot struct {
-	values []any
-	n      int // number of snapshotters at capture time
-
-	// reg/seq identify a ring handle (reg nil for self-contained).
 	reg *Registry
-	seq uint64
+	n   int    // number of components at store time
+	seq uint64 // the store this handle came from
 }
 
-// Register adds a snapshotter under a diagnostic name. The extra
+// Register adds a component under a diagnostic name. The extra
 // rollback-variable count vars feeds the cost model (it approximates how
 // much state the component contributes).
-func (r *Registry) Register(name string, s Snapshotter, vars int) {
-	if s == nil {
-		panic(fmt.Sprintf("rollback: register nil snapshotter %q", name))
+func (r *Registry) Register(name string, c Component, vars int) {
+	if c == nil {
+		panic(fmt.Sprintf("rollback: register nil component %q", name))
 	}
 	if vars < 0 {
 		panic(fmt.Sprintf("rollback: negative var count for %q", name))
 	}
-	ips, _ := s.(InPlaceSnapshotter)
-	ds, _ := s.(DeltaSnapshotter)
-	r.snaps = append(r.snaps, entry{name, s, ips, ds})
+	r.comps = append(r.comps, c)
 	r.vars += vars
 }
 
 // Vars returns the total number of registered rollback variables.
 func (r *Registry) Vars() int { return r.vars }
 
-// Components returns how many snapshotters are registered.
-func (r *Registry) Components() int { return len(r.snaps) }
+// Components returns how many components are registered.
+func (r *Registry) Components() int { return len(r.comps) }
 
-// Save captures every registered component into a fresh Snapshot.
-func (r *Registry) Save() Snapshot {
-	vals := make([]any, len(r.snaps))
-	for i, e := range r.snaps {
-		vals[i] = e.s.Save()
+// Store copies every registered component into its shadow and returns
+// a handle to the capture. Any earlier handle becomes stale.
+func (r *Registry) Store() Snapshot {
+	for _, c := range r.comps {
+		c.Store()
 	}
-	return Snapshot{values: vals, n: len(r.snaps)}
+	r.seq++
+	return Snapshot{reg: r, n: len(r.comps), seq: r.seq}
 }
 
-// SaveInto captures every registered component into dst, recycling the
-// buffers of whatever dst previously held. Components implementing
-// InPlaceSnapshotter save without heap allocation; the rest fall back
-// to Save. The previous contents of dst are invalidated — SaveInto is
-// for the leader's single-live-snapshot store path, not for keeping
-// multiple checkpoints (use Save for that).
-func (r *Registry) SaveInto(dst *Snapshot) {
-	if cap(dst.values) < len(r.snaps) {
-		dst.values = make([]any, len(r.snaps))
-	}
-	dst.values = dst.values[:len(r.snaps)]
-	dst.n = len(r.snaps)
-	dst.reg = nil
-	dst.seq = 0
-	for i, e := range r.snaps {
-		if e.ips != nil {
-			dst.values[i] = e.ips.SaveInto(dst.values[i])
-		} else {
-			dst.values[i] = e.s.Save()
-		}
-	}
-}
-
-// Restore rewinds every registered component to the snapshot. Restoring
-// a snapshot taken with a different component set panics: it means the
-// engine rolled across a topology change, which the scheme forbids.
-// Ring snapshots (SaveIncremental) dispatch to the delta-aware path,
-// which walks back to the nearest full capture and replays deltas
-// forward.
+// Restore rewinds every registered component to the store s names. A
+// handle from another registry, from an earlier store, or from a
+// different component set panics: the last means the engine rolled
+// across a topology change, which the scheme forbids.
 func (r *Registry) Restore(s Snapshot) {
-	if s.reg != nil {
-		r.restoreIncremental(s)
-		return
+	if s.reg != r {
+		panic("rollback: snapshot restored into a foreign registry")
 	}
-	if s.n != len(r.snaps) {
-		panic(fmt.Sprintf("rollback: snapshot of %d components restored into %d", s.n, len(r.snaps)))
+	if s.n != len(r.comps) {
+		panic(fmt.Sprintf("rollback: snapshot of %d components restored into %d", s.n, len(r.comps)))
 	}
-	for i, e := range r.snaps {
-		e.s.Restore(s.values[i])
+	if s.seq != r.seq {
+		panic(fmt.Sprintf("rollback: snapshot %d is stale (latest %d); only the most recent is restorable", s.seq, r.seq))
+	}
+	for _, c := range r.comps {
+		c.Restore()
 	}
 }

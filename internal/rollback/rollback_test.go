@@ -5,14 +5,15 @@ import (
 	"time"
 )
 
-type counter struct{ n int }
+// counter is a Component test double: an integer with its shadow.
+type counter struct{ n, saved int }
 
-func (c *counter) Save() any     { return c.n }
-func (c *counter) Restore(v any) { c.n = v.(int) }
+func (c *counter) Store()   { c.saved = c.n }
+func (c *counter) Restore() { c.n = c.saved }
 
 func TestRegistrySaveRestore(t *testing.T) {
 	var r Registry
-	a, b := &counter{1}, &counter{2}
+	a, b := &counter{n: 1}, &counter{n: 2}
 	r.Register("a", a, 10)
 	r.Register("b", b, 20)
 	if r.Vars() != 30 {
@@ -21,7 +22,7 @@ func TestRegistrySaveRestore(t *testing.T) {
 	if r.Components() != 2 {
 		t.Fatalf("Components = %d", r.Components())
 	}
-	snap := r.Save()
+	snap := r.Store()
 	a.n, b.n = 100, 200
 	r.Restore(snap)
 	if a.n != 1 || b.n != 2 {
@@ -33,7 +34,7 @@ func TestRegistryNilPanics(t *testing.T) {
 	var r Registry
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil snapshotter must panic")
+			t.Fatal("nil component must panic")
 		}
 	}()
 	r.Register("x", nil, 0)
@@ -52,7 +53,7 @@ func TestRegistryNegativeVarsPanics(t *testing.T) {
 func TestRestoreTopologyMismatchPanics(t *testing.T) {
 	var r Registry
 	r.Register("a", &counter{}, 1)
-	snap := r.Save()
+	snap := r.Store()
 	r.Register("b", &counter{}, 1)
 	defer func() {
 		if recover() == nil {
@@ -87,19 +88,69 @@ func TestSoftwareCostLinear(t *testing.T) {
 	}
 }
 
+// TestSnapshotIndependent pins the shadow discipline: a store is
+// independent of later changes to the live state, so it may be restored
+// any number of times, and a store taken after a restore starts a new
+// interval that restores to itself.
 func TestSnapshotIndependent(t *testing.T) {
 	var r Registry
-	c := &counter{5}
+	c := &counter{n: 5}
 	r.Register("c", c, 1)
-	s1 := r.Save()
-	c.n = 6
-	s2 := r.Save()
-	r.Restore(s1)
-	if c.n != 5 {
-		t.Fatal("first snapshot corrupted")
+	s1 := r.Store()
+	for i := 0; i < 3; i++ {
+		c.n = 100 + i
+		r.Restore(s1)
+		if c.n != 5 {
+			t.Fatalf("restore %d gave %d, want 5", i, c.n)
+		}
 	}
+	c.n = 6
+	s2 := r.Store()
+	c.n = 7
 	r.Restore(s2)
 	if c.n != 6 {
-		t.Fatal("second snapshot corrupted")
+		t.Fatalf("store after restore gave %d, want 6", c.n)
 	}
+}
+
+// TestIncrementalStaleRestorePanics: each Store supersedes the one
+// before it, whose handle may no longer be restored.
+func TestIncrementalStaleRestorePanics(t *testing.T) {
+	var r Registry
+	r.Register("c", &counter{}, 1)
+	old := r.Store()
+	r.Store()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("stale restore must panic")
+		}
+	}()
+	r.Restore(old)
+}
+
+// TestIncrementalForeignRegistryPanics: a handle restores only into
+// the registry that stored it.
+func TestIncrementalForeignRegistryPanics(t *testing.T) {
+	var r1, r2 Registry
+	r1.Register("c", &counter{}, 1)
+	r2.Register("c", &counter{}, 1)
+	s := r1.Store()
+	r2.Store()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("foreign-registry restore must panic")
+		}
+	}()
+	r2.Restore(s)
+}
+
+func TestZeroSnapshotRestorePanics(t *testing.T) {
+	var r Registry
+	r.Register("c", &counter{}, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("restoring a handle no Store produced must panic")
+		}
+	}()
+	r.Restore(Snapshot{})
 }

@@ -52,11 +52,7 @@ type Quiescible interface {
 // components.
 type Clock struct {
 	cycle int64
-
-	// saved/clean implement compare-on-save dirty tracking
-	// (rollback.DeltaSnapshotter) with zero cost on the Advance path.
-	saved int64
-	clean bool
+	saved int64 // rollback shadow
 }
 
 // Now returns the number of completed cycles.
@@ -79,46 +75,12 @@ func (c *Clock) AdvanceN(n int64) {
 	c.cycle += n
 }
 
-// Save returns an opaque snapshot of the clock.
-func (c *Clock) Save() any { return c.SaveInto(nil) }
+// Store implements rollback.Component.
+func (c *Clock) Store() { c.saved = c.cycle }
 
-// SaveInto behaves like Save but recycles prev when it came from an
-// earlier Save/SaveInto of a clock (rollback.InPlaceSnapshotter).
-func (c *Clock) SaveInto(prev any) any {
-	v, ok := prev.(*int64)
-	if !ok {
-		v = new(int64)
-	}
-	*v = c.cycle
-	return v
-}
-
-// Restore rewinds the clock to a snapshot produced by Save.
-func (c *Clock) Restore(s any) {
-	v, ok := s.(*int64)
-	if !ok {
-		panic(fmt.Sprintf("sim: bad clock snapshot %T", s))
-	}
-	c.cycle = *v
-}
-
-// Dirty implements rollback.DeltaSnapshotter: the clock changed iff it
-// advanced past the last MarkClean point.
-func (c *Clock) Dirty() bool { return !c.clean || c.cycle != c.saved }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (c *Clock) MarkClean() {
-	c.saved = c.cycle
-	c.clean = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter. The clock's whole
-// state is one counter, so the delta is a self-contained copy.
-func (c *Clock) SaveDelta(prev any) any { return c.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (c *Clock) RestoreDelta(newest any) { c.Restore(newest) }
+// Restore implements rollback.Component: the clock rewinds to the
+// cycle count of the last Store.
+func (c *Clock) Restore() { c.cycle = c.saved }
 
 // Reset implements Resettable.
 func (c *Clock) Reset() { c.cycle = 0 }

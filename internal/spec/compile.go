@@ -61,7 +61,6 @@ func (s *Spec) Compile() (core.Design, core.Config, error) {
 		FaultSeed:              n.Run.FaultSeed,
 		RollbackVars:           n.Run.RollbackVars,
 		CycleBatch:             n.Run.CycleBatch,
-		DeltaCadence:           n.Run.DeltaCadence,
 		PredictIdle:            n.Run.PredictIdle,
 		PredictBurstStarts:     n.Run.PredictBurstStarts,
 		Adaptive:               n.Run.Adaptive,

@@ -100,12 +100,15 @@ func TestHostKnobsDoNotSplitCanonicalHash(t *testing.T) {
 	}
 }
 
-// TestParseRejectsRetiredKnob pins the fate of the retired run.workers
-// knob: a spec that still carries it fails to parse, naming the field.
+// TestParseRejectsRetiredKnob pins the fate of the retired host knobs
+// run.workers and run.delta_cadence: a spec that still carries one
+// fails to parse, naming the field.
 func TestParseRejectsRetiredKnob(t *testing.T) {
-	_, err := Parse(withRun(t, map[string]any{"workers": 2}))
-	if err == nil || !strings.Contains(err.Error(), `"workers"`) {
-		t.Fatalf("run.workers: err = %v, want an unknown-field error naming workers", err)
+	for knob, v := range map[string]any{"workers": 2, "delta_cadence": 16} {
+		_, err := Parse(withRun(t, map[string]any{knob: v}))
+		if err == nil || !strings.Contains(err.Error(), `"`+knob+`"`) {
+			t.Fatalf("run.%s: err = %v, want an unknown-field error naming %s", knob, err, knob)
+		}
 	}
 }
 

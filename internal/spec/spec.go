@@ -174,11 +174,6 @@ type Run struct {
 	// for every setting). 0 selects the engine default (64); 1
 	// disables batching.
 	CycleBatch int `json:"cycle_batch,omitempty"`
-	// DeltaCadence sets the incremental-snapshot cadence of the
-	// rollback store (host-side fast path; modeled metrics are
-	// bit-identical for every setting). 0 selects the engine default
-	// (16); 1 forces full snapshots every transition.
-	DeltaCadence int `json:"delta_cadence,omitempty"`
 
 	PredictIdle        bool    `json:"predict_idle,omitempty"`
 	PredictBurstStarts bool    `json:"predict_burst_starts,omitempty"`
@@ -192,7 +187,7 @@ type Run struct {
 	// Timeout is the per-job wall-clock deadline as a Go duration
 	// string ("30s", "2m"). Empty means no deadline. It bounds host
 	// execution, not the modeled run, so it is a host-side knob:
-	// excluded from the canonical hash like CycleBatch/DeltaCadence.
+	// excluded from the canonical hash like CycleBatch.
 	Timeout string `json:"timeout,omitempty"`
 	// FaultPlan configures seeded chaos-testing fault injection for
 	// this run (see faultplan). Host-side test harness configuration:
@@ -204,7 +199,7 @@ type Run struct {
 	// (run-ahead spans, rollbacks, batch commits — see internal/trace).
 	// Pure host-side observability: the modeled run is bit-identical
 	// with and without it, so it is excluded from the canonical hash
-	// like CycleBatch/DeltaCadence.
+	// like CycleBatch.
 	Trace bool `json:"trace,omitempty"`
 	// TraceRing caps the tracer's event ring (events retained; the
 	// oldest are overwritten past the cap). 0 selects the tracer
@@ -351,7 +346,7 @@ func (s *Spec) Validate() error {
 	if r.Cycles <= 0 {
 		return fmt.Errorf("spec: run.cycles must be positive, got %d", r.Cycles)
 	}
-	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 || r.DeltaCadence < 0 || r.TraceRing < 0 {
+	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 || r.TraceRing < 0 {
 		return fmt.Errorf("spec: negative run parameter")
 	}
 	if r.Accuracy < 0 || r.Accuracy > 1 {
@@ -433,9 +428,6 @@ func (s *Spec) Normalized() (*Spec, error) {
 	if r.CycleBatch == 0 {
 		r.CycleBatch = core.DefaultCycleBatch
 	}
-	if r.DeltaCadence == 0 {
-		r.DeltaCadence = core.DefaultDeltaCadence
-	}
 	if r.Accuracy == 0 {
 		r.Accuracy = 1
 	}
@@ -479,17 +471,12 @@ func (s *Spec) canonicalJSON() ([]byte, error) {
 		return nil, err
 	}
 	n.Name = ""
-	// CycleBatch and DeltaCadence are host-side knobs: the engine's
-	// batching fast path and delta-snapshot ring produce bit-identical
-	// reports at every setting (pinned by the batch and delta
-	// differential tests), so they must not split the result cache.
-	// CycleBatch hashes as its canonical default (it has been part of
-	// the canonical encoding since it existed); DeltaCadence hashes as
-	// absent (zero + omitempty), so canonical hashes — and with them
-	// every entry of a pre-existing persistent store — are unchanged
-	// from before the knob existed.
+	// CycleBatch is a host-side knob: the engine's batching fast path
+	// produces bit-identical reports at every setting (pinned by the
+	// batch differential tests), so it must not split the result
+	// cache. It hashes as its canonical default (it has been part of
+	// the canonical encoding since it existed).
 	n.Run.CycleBatch = core.DefaultCycleBatch
-	n.Run.DeltaCadence = 0
 	// Timeout and FaultPlan are host-side too: a deadline bounds host
 	// execution without touching modeled results, and fault injection
 	// is a chaos harness whose surviving runs are bit-identical to

@@ -333,43 +333,33 @@ func TestCycleBatchNormalizationAndHash(t *testing.T) {
 	}
 }
 
+// TestDeltaCadenceNormalizationAndHash pins what the retired
+// run.delta_cadence knob leaves behind: the normalized spec carries no
+// such field, and the canonical encoding of a spec that never set it is
+// byte for byte the one it had while the knob existed (the knob hashed
+// as absent), so result-cache keys did not move. A spec that still sets
+// the knob is rejected; TestParseRejectsRetiredKnob pins that.
 func TestDeltaCadenceNormalizationAndHash(t *testing.T) {
-	// Omitted delta_cadence normalizes to the engine default.
 	s := parseOK(t, streamSpecJSON)
 	n, err := s.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Run.DeltaCadence != 16 {
-		t.Fatalf("normalized delta_cadence = %d, want 16", n.Run.DeltaCadence)
-	}
-	// The knob is host-side only: reports are bit-identical at every
-	// cadence, so it must not split the result cache — and it hashes
-	// as absent, so canonical hashes (and pre-existing store entries)
-	// are unchanged from before the knob existed.
-	h0, _ := s.CanonicalHash()
-	s1 := parseOK(t, streamSpecJSON)
-	s1.Run.DeltaCadence = 1
-	h1, err := s1.CanonicalHash()
+	b, err := json.Marshal(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h1 != h0 {
-		t.Fatal("delta_cadence changed the canonical hash")
+	if strings.Contains(string(b), "delta_cadence") {
+		t.Fatalf("normalized spec carries delta_cadence: %s", b)
 	}
-	// But it still reaches the compiled engine config.
-	_, cfg, err := s1.Compile()
+	c, err := s.canonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.DeltaCadence != 1 {
-		t.Fatalf("compiled DeltaCadence = %d, want 1", cfg.DeltaCadence)
-	}
-	// Negative values are rejected.
-	bad := parseOK(t, streamSpecJSON)
-	bad.Run.DeltaCadence = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative delta_cadence validated")
+	// sha256 of the canonical encoding before the knob was retired.
+	const want = "0791e69889a02a45b74edbcd646b94cdc08be48c46b45999e802cc3dccc8d8ec"
+	if sum := sha256.Sum256(c); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("canonical encoding changed:\n%s", c)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestStreamPoolSnapshotPinsLiveSlice(t *testing.T) {
 	// slice must survive arbitrarily many post-snapshot fetches.
 	cur, _ := s.Next()
 	golden := cloneWords(cur.Data)
-	snap := s.SaveInto(nil)
+	s.Store()
 
 	var replayGolden [][]amba.Word
 	for i := 0; i < 40; i++ {
@@ -47,7 +47,7 @@ func TestStreamPoolSnapshotPinsLiveSlice(t *testing.T) {
 
 	// Roll back and replay: contents must be bit-identical to the first
 	// pass even though the pool may hand out different buffers.
-	s.Restore(snap)
+	s.Restore()
 	for i := range replayGolden {
 		x, _ := s.Next()
 		if len(x.Data) != len(replayGolden[i]) {
@@ -63,10 +63,9 @@ func TestStreamPoolSnapshotPinsLiveSlice(t *testing.T) {
 
 func TestStreamPoolBounded(t *testing.T) {
 	s := poolStream()
-	var snap any
 	for i := 0; i < 10000; i++ {
 		if i%50 == 0 {
-			snap = s.SaveInto(snap)
+			s.Store()
 		}
 		if _, ok := s.Next(); !ok {
 			t.Fatal("stream ended")
@@ -79,17 +78,16 @@ func TestStreamPoolBounded(t *testing.T) {
 
 func TestStreamNextAllocFree(t *testing.T) {
 	s := poolStream()
-	var snap any
 	// Engine-shaped consumption: a snapshot every few transfers, an
 	// occasional rollback, continuous fetching in between.
 	step := func() {
-		snap = s.SaveInto(snap)
+		s.Store()
 		for i := 0; i < 5; i++ {
 			if _, ok := s.Next(); !ok {
 				t.Fatal("stream ended")
 			}
 		}
-		s.Restore(snap)
+		s.Restore()
 		for i := 0; i < 7; i++ {
 			if _, ok := s.Next(); !ok {
 				t.Fatal("stream ended")
@@ -106,15 +104,14 @@ func TestStreamNextAllocFree(t *testing.T) {
 
 func TestDMACopyNextAllocFree(t *testing.T) {
 	d := NewDMACopy(Window{Lo: 0, Hi: 0x4000}, Window{Lo: 0x8000, Hi: 0xC000}, amba.BurstIncr8, 0, 0)
-	var snap any
 	step := func() {
-		snap = d.SaveInto(snap)
+		d.Store()
 		for i := 0; i < 6; i++ {
 			if _, ok := d.Next(); !ok {
 				t.Fatal("dma ended")
 			}
 		}
-		d.Restore(snap)
+		d.Restore()
 		for i := 0; i < 8; i++ {
 			if _, ok := d.Next(); !ok {
 				t.Fatal("dma ended")
@@ -134,13 +131,13 @@ func TestDMACopyPoolRollbackIdentity(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		d.Next()
 	}
-	snap := d.SaveInto(nil)
+	d.Store()
 	var golden [][]amba.Word
 	for i := 0; i < 30; i++ {
 		x, _ := d.Next()
 		golden = append(golden, cloneWords(x.Data))
 	}
-	d.Restore(snap)
+	d.Restore()
 	for i := range golden {
 		x, _ := d.Next()
 		if len(x.Data) != len(golden[i]) {

@@ -8,8 +8,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"coemu/internal/amba"
 	"coemu/internal/ip"
 	"coemu/internal/rng"
@@ -36,9 +34,9 @@ func pattern(n uint64) amba.Word {
 //
 // Safety argument. A slice issued for transfer q is referenced by (at
 // most) the master's current activeXfer — the master drops transfer q
-// the moment it fetches q+1 — and by the domain's single live rollback
-// snapshot, which holds a value copy of the master state as of the last
-// Save (referencing transfer snapSeq-1 at the oldest). So any slice
+// the moment it fetches q+1 — and by the master's rollback shadow,
+// which holds a value copy of the master state as of the last Store
+// (referencing transfer snapSeq-1 at the oldest). So any slice
 // whose transfer index is holdDepth fetches below BOTH the current
 // issue counter and the last save point is unreachable and free to
 // recycle. A Restore rewinds the issue counter to the save point;
@@ -50,7 +48,7 @@ func pattern(n uint64) amba.Word {
 type dataPool struct {
 	free [][]amba.Word
 	out  []pooledBuf // outstanding slices, oldest first
-	// snapSeq is the generator's issue counter at the last Save;
+	// snapSeq is the generator's issue counter at the last Store;
 	// hasSnap marks that a restorable snapshot exists. The zero value
 	// is a ready-to-use pool with no snapshot.
 	snapSeq int64
@@ -131,8 +129,8 @@ func (p *dataPool) restored(cur int64) {
 
 // Sequence replays a fixed list of transfers, for tests and examples.
 type Sequence struct {
-	xfers []ip.Xfer
-	i     int
+	xfers    []ip.Xfer
+	i, saved int
 }
 
 var _ ip.Generator = (*Sequence)(nil)
@@ -151,17 +149,11 @@ func (s *Sequence) Next() (ip.Xfer, bool) {
 	return x, true
 }
 
-// Save implements rollback.Snapshotter.
-func (s *Sequence) Save() any { return s.i }
+// Store implements rollback.Component.
+func (s *Sequence) Store() { s.saved = s.i }
 
-// Restore implements rollback.Snapshotter.
-func (s *Sequence) Restore(v any) {
-	i, ok := v.(int)
-	if !ok {
-		panic(fmt.Sprintf("workload: sequence: bad snapshot %T", v))
-	}
-	s.i = i
-}
+// Restore implements rollback.Component.
+func (s *Sequence) Restore() { s.i = s.saved }
 
 // Stream emits an endless (or bounded) run of same-direction bursts
 // marching through an address window — the unidirectional, linearly
@@ -178,9 +170,8 @@ type Stream struct {
 	max   int64 // 0 = unbounded
 
 	st    streamState
+	saved streamState // rollback shadow
 	pool  dataPool
-	saved streamState // compare-on-save dirty tracking
-	clean bool
 }
 
 type streamState struct {
@@ -233,48 +224,17 @@ func (s *Stream) Next() (ip.Xfer, bool) {
 	return x, true
 }
 
-// Save implements rollback.Snapshotter.
-func (s *Stream) Save() any { return s.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a stream.
-func (s *Stream) SaveInto(prev any) any {
-	st, ok := prev.(*streamState)
-	if !ok {
-		st = new(streamState)
-	}
-	*st = s.st
+// Store implements rollback.Component.
+func (s *Stream) Store() {
+	s.saved = s.st
 	s.pool.saved(s.st.Issued)
-	return st
 }
 
-// Restore implements rollback.Snapshotter.
-func (s *Stream) Restore(v any) {
-	st, ok := v.(*streamState)
-	if !ok {
-		panic(fmt.Sprintf("workload: stream: bad snapshot %T", v))
-	}
-	s.st = *st
+// Restore implements rollback.Component.
+func (s *Stream) Restore() {
+	s.st = s.saved
 	s.pool.restored(s.st.Issued)
 }
-
-// Dirty implements rollback.DeltaSnapshotter: the stream changed iff a
-// transfer was issued since the last MarkClean.
-func (s *Stream) Dirty() bool { return !s.clean || s.st != s.saved }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (s *Stream) MarkClean() {
-	s.saved = s.st
-	s.clean = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter; the cursor triple is
-// small, so deltas are self-contained copies.
-func (s *Stream) SaveDelta(prev any) any { return s.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (s *Stream) RestoreDelta(newest any) { s.Restore(newest) }
 
 // DMACopy alternates read bursts from a source window with write bursts
 // of the same data... of a deterministic pattern into a destination
@@ -286,9 +246,8 @@ type DMACopy struct {
 	max      int64
 
 	st    dmaState
+	saved dmaState // rollback shadow
 	pool  dataPool
-	saved dmaState // compare-on-save dirty tracking
-	clean bool
 }
 
 type dmaState struct {
@@ -342,47 +301,17 @@ func (d *DMACopy) Next() (ip.Xfer, bool) {
 	return x, true
 }
 
-// Save implements rollback.Snapshotter.
-func (d *DMACopy) Save() any { return d.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a DMA generator.
-func (d *DMACopy) SaveInto(prev any) any {
-	st, ok := prev.(*dmaState)
-	if !ok {
-		st = new(dmaState)
-	}
-	*st = d.st
+// Store implements rollback.Component.
+func (d *DMACopy) Store() {
+	d.saved = d.st
 	d.pool.saved(d.st.Issued)
-	return st
 }
 
-// Restore implements rollback.Snapshotter.
-func (d *DMACopy) Restore(v any) {
-	st, ok := v.(*dmaState)
-	if !ok {
-		panic(fmt.Sprintf("workload: dma: bad snapshot %T", v))
-	}
-	d.st = *st
+// Restore implements rollback.Component.
+func (d *DMACopy) Restore() {
+	d.st = d.saved
 	d.pool.restored(d.st.Issued)
 }
-
-// Dirty implements rollback.DeltaSnapshotter.
-func (d *DMACopy) Dirty() bool { return !d.clean || d.st != d.saved }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (d *DMACopy) MarkClean() {
-	d.saved = d.st
-	d.clean = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter; the cursor state is
-// small, so deltas are self-contained copies.
-func (d *DMACopy) SaveDelta(prev any) any { return d.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (d *DMACopy) RestoreDelta(newest any) { d.Restore(newest) }
 
 // CPU emits randomized single transfers and short bursts across a set of
 // windows with random idle gaps — the bursty, direction-mixed traffic
@@ -394,9 +323,15 @@ type CPU struct {
 	max        int64
 	r          *rng.Source
 
+	cpuState
+	saved cpuState // rollback shadow of cpuState (r keeps its own)
+	pool  dataPool
+}
+
+// cpuState is the CPU generator's issue bookkeeping.
+type cpuState struct {
 	issued int64
 	beat   uint64
-	pool   dataPool
 }
 
 var _ ip.Generator = (*CPU)(nil)
@@ -455,39 +390,16 @@ func (c *CPU) Next() (ip.Xfer, bool) {
 	return x, true
 }
 
-// cpuSnap freezes a CPU generator.
-type cpuSnap struct {
-	Rng    any
-	Issued int64
-	Beat   uint64
-}
-
-// Save implements rollback.Snapshotter.
-func (c *CPU) Save() any { return c.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev — the
-// snapshot struct and the RNG state boxed inside it — when it came from
-// an earlier Save/SaveInto of a CPU generator.
-func (c *CPU) SaveInto(prev any) any {
-	s, ok := prev.(*cpuSnap)
-	if !ok {
-		s = new(cpuSnap)
-	}
+// Store implements rollback.Component.
+func (c *CPU) Store() {
+	c.r.Store()
+	c.saved = c.cpuState
 	c.pool.saved(c.issued)
-	s.Rng = c.r.SaveInto(s.Rng)
-	s.Issued = c.issued
-	s.Beat = c.beat
-	return s
 }
 
-// Restore implements rollback.Snapshotter.
-func (c *CPU) Restore(v any) {
-	s, ok := v.(*cpuSnap)
-	if !ok {
-		panic(fmt.Sprintf("workload: cpu: bad snapshot %T", v))
-	}
-	c.r.Restore(s.Rng)
-	c.issued = s.Issued
-	c.beat = s.Beat
+// Restore implements rollback.Component.
+func (c *CPU) Restore() {
+	c.r.Restore()
+	c.cpuState = c.saved
 	c.pool.restored(c.issued)
 }

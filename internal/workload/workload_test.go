@@ -36,9 +36,9 @@ func TestSequence(t *testing.T) {
 func TestSequenceSnapshot(t *testing.T) {
 	s := NewSequence(ip.Xfer{Addr: 1}, ip.Xfer{Addr: 2}, ip.Xfer{Addr: 3})
 	s.Next()
-	snap := s.Save()
+	s.Store()
 	a, _ := s.Next()
-	s.Restore(snap)
+	s.Restore()
 	b, _ := s.Next()
 	if a.Addr != b.Addr {
 		t.Fatal("snapshot replay diverged")
@@ -86,9 +86,9 @@ func TestStreamReadCarriesNoData(t *testing.T) {
 func TestStreamSnapshot(t *testing.T) {
 	s := NewStream(Window{0, 0x1000}, true, amba.BurstIncr4, amba.Size32, 0, 0, 0)
 	s.Next()
-	snap := s.Save()
+	s.Store()
 	a, _ := s.Next()
-	s.Restore(snap)
+	s.Restore()
 	b, _ := s.Next()
 	if a.Addr != b.Addr || a.Data[0] != b.Data[0] {
 		t.Fatal("stream snapshot replay diverged")
@@ -123,9 +123,9 @@ func TestDMACopyRejectsIncr(t *testing.T) {
 func TestDMASnapshot(t *testing.T) {
 	d := NewDMACopy(Window{0x0, 0x100}, Window{0x200, 0x300}, amba.BurstIncr4, 0, 0)
 	d.Next()
-	snap := d.Save()
+	d.Store()
 	a, _ := d.Next()
-	d.Restore(snap)
+	d.Restore()
 	b, _ := d.Next()
 	if a.Addr != b.Addr || a.Write != b.Write {
 		t.Fatal("DMA snapshot replay diverged")
@@ -169,13 +169,13 @@ func TestCPUSnapshot(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Next()
 	}
-	snap := c.Save()
+	c.Store()
 	var first []ip.Xfer
 	for i := 0; i < 20; i++ {
 		x, _ := c.Next()
 		first = append(first, x)
 	}
-	c.Restore(snap)
+	c.Restore()
 	for i := 0; i < 20; i++ {
 		x, _ := c.Next()
 		if x.Addr != first[i].Addr || x.Write != first[i].Write {

@@ -25,15 +25,15 @@ import (
 // determined by the spec; the transport is plumbing.
 
 // remoteCycleCap bounds run length for the TCP differentials: long
-// enough to cross flush, report-exchange, rollback and delta-snapshot
+// enough to cross flush, report-exchange, rollback and snapshot
 // paths on every example, short enough to keep dozens of socket-pair
 // runs fast.
 const remoteCycleCap = 4000
 
-// remoteVariant clones sp with capped cycles and the given host-side
-// knob settings. Cloning goes through JSON — the same round trip the
+// remoteVariant clones sp with capped cycles and the given cycle
+// batch cap. Cloning goes through JSON — the same round trip the
 // spec takes inside the connect handshake.
-func remoteVariant(t *testing.T, sp *coemu.Spec, batch, cadence int) *coemu.Spec {
+func remoteVariant(t *testing.T, sp *coemu.Spec, batch int) *coemu.Spec {
 	t.Helper()
 	b, err := json.Marshal(sp)
 	if err != nil {
@@ -47,48 +47,47 @@ func remoteVariant(t *testing.T, sp *coemu.Spec, batch, cadence int) *coemu.Spec
 		cl.Run.Cycles = remoteCycleCap
 	}
 	cl.Run.CycleBatch = batch
-	cl.Run.DeltaCadence = cadence
 	return cl
 }
 
 // TestRemoteDifferentialBitIdentical runs every example spec
 // in-process and cross-process (two mirrored engines over a loopback
-// TCP socket pair in this binary), sweeping the host-side batching and
-// snapshot knobs, and requires byte-identical canonical report JSON on
-// all three reports plus identical channel statistics.
+// TCP socket pair in this binary), sweeping the host-side batch cap,
+// and requires byte-identical canonical report JSON on all three
+// reports plus identical channel statistics. The cadence=1 in each
+// case name is the snapshot cadence: every transition stores the
+// leader in full, the only cadence the shadow store has.
 func TestRemoteDifferentialBitIdentical(t *testing.T) {
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
-			base := remoteVariant(t, sp, 1, 1)
+			base := remoteVariant(t, sp, 1)
 			want, wantRep := runSpec(t, base, nil)
 			for _, batch := range []int{1, 64} {
-				for _, cadence := range []int{1, 16} {
-					t.Run(fmt.Sprintf("batch=%d_cadence=%d", batch, cadence), func(t *testing.T) {
-						v := remoteVariant(t, sp, batch, cadence)
-						res, err := remote.Pair(context.Background(), v, remote.RunOptions{}, remote.ServeOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if res.ClientErr != nil {
-							t.Fatalf("client mirror: %v", res.ClientErr)
-						}
-						if res.ServerErr != nil {
-							t.Fatalf("serving mirror: %v", res.ServerErr)
-						}
-						if !bytes.Equal(res.Client.View, want) {
-							t.Errorf("client report diverged from in-process run\nremote: %s\nlocal:  %s", res.Client.View, want)
-						}
-						if !bytes.Equal(res.ServerView, want) {
-							t.Errorf("serving report diverged from in-process run\nremote: %s\nlocal:  %s", res.ServerView, want)
-						}
-						if res.Client.Report.Channel != wantRep.Channel {
-							t.Errorf("client channel stats = %+v, want %+v", res.Client.Report.Channel, wantRep.Channel)
-						}
-						if res.ServerReport.Channel != wantRep.Channel {
-							t.Errorf("server channel stats = %+v, want %+v", res.ServerReport.Channel, wantRep.Channel)
-						}
-					})
-				}
+				t.Run(fmt.Sprintf("batch=%d_cadence=1", batch), func(t *testing.T) {
+					v := remoteVariant(t, sp, batch)
+					res, err := remote.Pair(context.Background(), v, remote.RunOptions{}, remote.ServeOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.ClientErr != nil {
+						t.Fatalf("client mirror: %v", res.ClientErr)
+					}
+					if res.ServerErr != nil {
+						t.Fatalf("serving mirror: %v", res.ServerErr)
+					}
+					if !bytes.Equal(res.Client.View, want) {
+						t.Errorf("client report diverged from in-process run\nremote: %s\nlocal:  %s", res.Client.View, want)
+					}
+					if !bytes.Equal(res.ServerView, want) {
+						t.Errorf("serving report diverged from in-process run\nremote: %s\nlocal:  %s", res.ServerView, want)
+					}
+					if res.Client.Report.Channel != wantRep.Channel {
+						t.Errorf("client channel stats = %+v, want %+v", res.Client.Report.Channel, wantRep.Channel)
+					}
+					if res.ServerReport.Channel != wantRep.Channel {
+						t.Errorf("server channel stats = %+v, want %+v", res.ServerReport.Channel, wantRep.Channel)
+					}
+				})
 			}
 		})
 	}
@@ -129,7 +128,7 @@ func TestHelperDomainServe(t *testing.T) {
 // handshake) and the socket.
 func TestRemoteTwoProcessBitIdentical(t *testing.T) {
 	sp := exampleSpecs(t)["quickstart"]
-	v := remoteVariant(t, sp, 1, 1)
+	v := remoteVariant(t, sp, 1)
 	want, wantRep := runSpec(t, v, nil)
 
 	cmd := exec.Command(os.Args[0], "-test.run=^TestHelperDomainServe$", "-test.v")
