@@ -159,8 +159,8 @@ func TestChaosDifferentialSweep(t *testing.T) {
 	})
 
 	// Kill daemon A mid-sweep: cut its client streams, stop its
-	// listener, cancel its jobs. The client must fail over to B and
-	// resume with only the missing points.
+	// listener, cancel its jobs. The fleet must evict A, re-shard onto
+	// B and resume with only the missing points.
 	var killOnce sync.Once
 	killA := func() {
 		killOnce.Do(func() {
@@ -173,17 +173,20 @@ func TestChaosDifferentialSweep(t *testing.T) {
 	defer timer.Stop()
 	defer killA()
 
-	client, err := sweepclient.New(sweepclient.Options{
-		URLs:        []string{srvA.URL, srvB.URL},
-		Retries:     40,
-		BaseBackoff: 2 * time.Millisecond,
-		MaxBackoff:  50 * time.Millisecond,
-		Logf:        t.Logf,
+	fleet, err := sweepclient.NewFleet(sweepclient.FleetOptions{
+		URLs:          []string{srvA.URL, srvB.URL},
+		Retries:       40,
+		BaseBackoff:   2 * time.Millisecond,
+		MaxBackoff:    50 * time.Millisecond,
+		ProbeInterval: 20 * time.Millisecond,
+		FailThreshold: 2,
+		Logf:          t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, _, err := client.RunPoints(context.Background(), points)
+	defer fleet.Close()
+	lines, _, err := fleet.RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,18 +19,17 @@
 // serves, byte-identical line for line.
 //
 // With -remote http://host:8080[,http://host2:8080], runs are not
-// executed in this process: grid mode expands the document locally and
-// shards the points across the daemon fleet by consistent hash (one
-// URL degenerates to plain failover submission), and the DES CSV
-// sweeps (which then require -spec) submit their points as a spec
-// batch — sharing the daemons' worker pools, result caches and
-// persistent store with every other client. Remote submission is
-// resilient: transient failures retry with exponential backoff
-// (-retries bounds the budget), a health prober evicts dead daemons
-// and rebalances only their unfinished points onto survivors, and
-// points whose results already sit in the daemons' shared store are
-// spliced via /v1/results/{hash} instead of re-run (see
-// internal/sweepclient).
+// executed in this process: grid mode expands the document locally,
+// the DES CSV sweeps (which then require -spec) build their points
+// from the spec, and either way the points are sharded across the
+// daemon fleet by consistent hash (one URL is a one-shard fleet) —
+// sharing the daemons' worker pools, result caches and persistent
+// store with every other client. Remote submission is resilient:
+// failed rounds retry with exponential backoff (-retries bounds the
+// budget), a health prober evicts dead daemons and rebalances only
+// their unfinished points onto survivors, and points whose results
+// already sit in the daemons' shared store are spliced via
+// /v1/results/{hash} instead of re-run (see internal/sweepclient).
 //
 // With -resume journal.ndjson (grid+remote mode), completed point
 // hashes are journaled durably as the sweep streams; re-running the
@@ -77,7 +76,7 @@ func main() {
 	specPath := flag.String("spec", "", "sweep a declarative JSON spec's design instead of the built-in stream design")
 	gridPath := flag.String("grid", "", "expand and run a declarative sweep document, streaming NDJSON results to stdout")
 	remote := flag.String("remote", "", "comma-separated coemud base URLs; shard the sweep across the daemon fleet instead of in-process runs")
-	retries := flag.Int("retries", sweepclient.DefaultRetries, "remote mode: how many transient failures (daemon down, 5xx, cut stream) to ride out")
+	retries := flag.Int("retries", sweepclient.DefaultRetries, "remote mode: how many failed rounds (daemon down, 5xx, cut stream, failed point) to ride out")
 	resume := flag.String("resume", "", "remote grid mode: crash-safe resume journal path; journals completed point hashes and skips them on re-run")
 	flag.IntVar(&jobs, "j", runtime.NumCPU(), "parallel DES engine runs (local mode)")
 	flag.Parse()
@@ -118,11 +117,12 @@ func main() {
 		if baseSpec == nil {
 			fatal(fmt.Errorf("-remote CSV sweeps need -spec (the daemon runs declarative specs)"))
 		}
-		client, err := newRemoteClient(remotes, *retries)
+		fleet, err := sweepclient.NewFleet(fleetOptions(remotes, *retries))
 		if err != nil {
 			fatal(err)
 		}
-		runner = &remoteRunner{base: baseSpec, client: client}
+		defer fleet.Close()
+		runner = &remoteRunner{base: baseSpec, fleet: fleet}
 	}
 	writeTable2(filepath.Join(*out, "table2.csv"))
 	writeFigure4(filepath.Join(*out, "figure4.csv"))
@@ -146,13 +146,7 @@ func runGrid(path string, remotes []string, retries int, resume string, w io.Wri
 		if err != nil {
 			return err
 		}
-		opts := sweepclient.FleetOptions{
-			URLs:    remotes,
-			Retries: retries,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		}
+		opts := fleetOptions(remotes, retries)
 		if resume != "" {
 			journal, jerr := sweepclient.OpenJournal(resume)
 			if jerr != nil {
@@ -275,17 +269,17 @@ func splitRemotes(remote string) []string {
 	return urls
 }
 
-// newRemoteClient builds the resilient daemon client the remote modes
-// share, logging retry/failover decisions to stderr so they don't
-// pollute the NDJSON stream on stdout.
-func newRemoteClient(remotes []string, retries int) (*sweepclient.Client, error) {
-	return sweepclient.New(sweepclient.Options{
+// fleetOptions configures the daemon fleet the remote modes share,
+// logging retry/rebalance decisions to stderr so they don't pollute
+// the NDJSON stream on stdout.
+func fleetOptions(remotes []string, retries int) sweepclient.FleetOptions {
+	return sweepclient.FleetOptions{
 		URLs:    remotes,
 		Retries: retries,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
-	})
+	}
 }
 
 // desPoint is one DES sweep point: the base run with the paper's
@@ -371,13 +365,13 @@ func localReport(rep *coemu.Report) *desReport {
 	return r
 }
 
-// remoteRunner submits points to coemud daemons as a /v1/sweep spec
-// batch: a daemon's pool runs them in parallel and its cache/store
-// answer repeats without recomputation. The shared sweepclient rides
-// out transient daemon failures and fails over across -remote URLs.
+// remoteRunner shards points across the -remote fleet as /v1/sweep
+// spec batches: each daemon's pool runs its shard in parallel and its
+// cache/store answer repeats without recomputation. The fleet rides
+// out transient daemon failures and rebalances onto survivors.
 type remoteRunner struct {
-	base   *coemu.Spec
-	client *sweepclient.Client
+	base  *coemu.Spec
+	fleet *sweepclient.Fleet
 }
 
 func (r *remoteRunner) runPoints(points []desPoint) ([]*desReport, error) {
@@ -387,7 +381,7 @@ func (r *remoteRunner) runPoints(points []desPoint) ([]*desReport, error) {
 		applyPointRun(&sp.Run, p)
 		specs[i] = &sp
 	}
-	lines, _, err := r.client.RunPoints(context.Background(), specs)
+	lines, _, err := r.fleet.RunPoints(context.Background(), specs)
 	if err != nil {
 		return nil, err
 	}

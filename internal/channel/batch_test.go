@@ -3,36 +3,34 @@ package channel
 import (
 	"testing"
 
-	"coemu/internal/amba"
 	"coemu/internal/device"
 	"coemu/internal/vclock"
 )
 
-// TestAccountNMatchesSends pins the loopback contract: AccountN leaves
-// the ledger and every channel statistic bit-identical to n real Sends
-// of the same payload size.
+// TestAccountNMatchesSends pins the batching contract: AccountN leaves
+// the ledger and every channel statistic bit-identical to n single
+// Account calls of the same payload size.
 func TestAccountNMatchesSends(t *testing.T) {
-	var sentLedger, accLedger vclock.Ledger
-	sent := New(device.IPROVE(), &sentLedger)
-	acc := New(device.IPROVE(), &accLedger)
+	var oneLedger, batchLedger vclock.Ledger
+	one := New(device.IPROVE(), &oneLedger)
+	batch := New(device.IPROVE(), &batchLedger)
 
-	payload := make([]amba.Word, 5)
-	const n = 9
+	const words, n = 5, 9
 	for i := 0; i < n; i++ {
-		sent.Send(SimToAcc, payload)
-		sent.Release(sent.Recv(SimToAcc)) // drain so only accounting differs
+		one.Account(SimToAcc, words)
 	}
-	acc.AccountN(SimToAcc, len(payload), n)
+	batch.AccountN(SimToAcc, words, n)
 
-	if sentLedger != accLedger {
-		t.Fatalf("ledger diverged: send %v, account %v", sentLedger.String(), accLedger.String())
+	if oneLedger != batchLedger {
+		t.Fatalf("ledger diverged: account %v, accountN %v", oneLedger.String(), batchLedger.String())
 	}
-	if sent.Stats() != acc.Stats() {
-		t.Fatalf("stats diverged:\nsend:    %+v\naccount: %+v", sent.Stats(), acc.Stats())
+	if one.Stats() != batch.Stats() {
+		t.Fatalf("stats diverged:\naccount:  %+v\naccountN: %+v", one.Stats(), batch.Stats())
 	}
 }
 
-// TestAccountZeroLengthPaysStartup mirrors Send's doorbell semantics.
+// TestAccountZeroLengthPaysStartup pins the doorbell semantics: an
+// empty access still pays the startup overhead.
 func TestAccountZeroLengthPaysStartup(t *testing.T) {
 	var l vclock.Ledger
 	c := New(device.IPROVE(), &l)

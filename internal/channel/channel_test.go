@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"coemu/internal/amba"
 	"coemu/internal/device"
 	"coemu/internal/vclock"
 )
@@ -12,7 +11,7 @@ import (
 func TestSendChargesStartupPlusPayload(t *testing.T) {
 	var l vclock.Ledger
 	c := New(device.IPROVE(), &l)
-	c.Send(SimToAcc, []amba.Word{1, 2, 3, 4})
+	c.Account(SimToAcc, 4)
 	want := 12200*time.Nanosecond + time.Duration(4*49950/1000)
 	if got := l.Get(vclock.Channel); got != want {
 		t.Fatalf("charged %v, want %v", got, want)
@@ -22,52 +21,13 @@ func TestSendChargesStartupPlusPayload(t *testing.T) {
 	}
 }
 
-func TestRoundTripData(t *testing.T) {
-	var l vclock.Ledger
-	c := New(device.IPROVE(), &l)
-	in := []amba.Word{0xDEAD, 0xBEEF}
-	c.Send(AccToSim, in)
-	in[0] = 0 // sender reuses its buffer; the packet must be unaffected
-	out := c.Recv(AccToSim)
-	if len(out) != 2 || out[0] != 0xDEAD || out[1] != 0xBEEF {
-		t.Fatalf("recv gave %v", out)
-	}
-}
-
-func TestQueueOrderingAndPending(t *testing.T) {
-	var l vclock.Ledger
-	c := New(device.IPROVE(), &l)
-	c.Send(SimToAcc, []amba.Word{1})
-	c.Send(SimToAcc, []amba.Word{2})
-	if c.Pending(SimToAcc) != 2 {
-		t.Fatalf("pending = %d", c.Pending(SimToAcc))
-	}
-	if got := c.Recv(SimToAcc); got[0] != 1 {
-		t.Fatalf("fifo order broken: %v", got)
-	}
-	if got := c.Recv(SimToAcc); got[0] != 2 {
-		t.Fatalf("fifo order broken: %v", got)
-	}
-}
-
-func TestRecvEmptyPanics(t *testing.T) {
-	var l vclock.Ledger
-	c := New(device.IPROVE(), &l)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty recv must panic")
-		}
-	}()
-	c.Recv(SimToAcc)
-}
-
 func TestStatsHistogram(t *testing.T) {
 	var l vclock.Ledger
 	c := New(device.IPROVE(), &l)
-	c.Send(SimToAcc, make([]amba.Word, 1))
-	c.Send(SimToAcc, make([]amba.Word, 4))
-	c.Send(SimToAcc, make([]amba.Word, 40))
-	c.Send(AccToSim, make([]amba.Word, 100))
+	c.Account(SimToAcc, 1)
+	c.Account(SimToAcc, 4)
+	c.Account(SimToAcc, 40)
+	c.Account(AccToSim, 100)
 	st := c.Stats()
 	if st.TotalAccesses() != 4 || st.TotalWords() != 145 {
 		t.Fatalf("stats %+v", st)
@@ -86,12 +46,9 @@ func TestStatsHistogram(t *testing.T) {
 func TestZeroPayloadStillCostsStartup(t *testing.T) {
 	var l vclock.Ledger
 	c := New(device.IPROVE(), &l)
-	c.Send(SimToAcc, nil)
+	c.Account(SimToAcc, 0)
 	if got := l.Get(vclock.Channel); got != 12200*time.Nanosecond {
 		t.Fatalf("empty access charged %v", got)
-	}
-	if got := c.Recv(SimToAcc); len(got) != 0 {
-		t.Fatalf("empty packet came back with %d words", len(got))
 	}
 }
 

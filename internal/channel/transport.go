@@ -25,10 +25,9 @@ var ErrChannelDown = errors.New("channel: transport down")
 // through Channel.Account before handing the packet to the transport,
 // so the modeled economics are bit-identical across implementations.
 //
-// Ownership follows the Channel convention: Send may reuse its payload
-// slice after the call returns (the transport copies or encodes), and
-// a slice returned by Recv belongs to the caller until handed back via
-// Release.
+// Ownership: the caller may reuse its payload slice after Send
+// returns (the transport copies or encodes), and a slice returned by
+// Recv belongs to the caller until handed back via Release.
 type Transport interface {
 	// Send ships one packet in direction d.
 	Send(d Dir, payload []amba.Word) error
@@ -46,11 +45,9 @@ type Transport interface {
 }
 
 // Queues is the in-memory packet transport: a pair of FIFO queues with
-// a shared buffer free-list, exactly the queueing machinery Channel
-// has always used, split out so it can stand alone behind the
-// Transport interface (and under FaultEndpoint). Like Channel it is
-// single-threaded by design — the engine interleaves the domains
-// deterministically.
+// a shared buffer free-list, usable alone or under FaultEndpoint. Like
+// Channel it is single-threaded by design — the engine interleaves the
+// domains deterministically.
 type Queues struct {
 	queues [2]queue
 	free   [][]amba.Word

@@ -181,9 +181,9 @@ func TestTransportConformance(t *testing.T) {
 							}
 						}
 						rx.Release(pkt)
-					}
-					if !tc.inexactPending && rx.Pending(d) != 0 {
-						t.Fatalf("%v pending after drain = %d", d, rx.Pending(d))
+						if left := rx.Pending(d); !tc.inexactPending && left != n-i-1 {
+							t.Fatalf("%v pending after recv %d = %d, want %d", d, i, left, n-i-1)
+						}
 					}
 				}
 			})

@@ -1,15 +1,22 @@
-package sweepclient
-
-// fleet.go — sharded fleet sweeps. Where Client treats every daemon as
-// a full replica and fails over between them, Fleet shards one sweep's
-// expanded points ACROSS the daemons by consistent hash and runs the
-// shards in parallel, surviving daemon death, daemon recovery, and
-// client death mid-sweep:
+// Package sweepclient is the client side of coemud's /v1/sweep wire
+// protocol. A Fleet runs one sweep's expanded points on one or more
+// daemons and keeps going when the transport, a daemon, an individual
+// point or the client itself fails:
 //
 //   - Sharding: each round builds a bounded-load consistent-hash ring
 //     over the currently healthy membership (from the prober) and
 //     assigns every unfinished point by its canonical spec hash.
-//     Saturated daemons get half the load cap.
+//     Saturated daemons get half the load cap. One daemon is simply a
+//     one-shard fleet.
+//   - Retries: transport errors, 5xx responses and mid-stream
+//     disconnects are transient; the fleet backs off exponentially with
+//     jitter (honoring a 503's Retry-After, capped at MaxBackoff) and
+//     runs another round. A 4xx other than 503 is permanent and aborts
+//     the sweep. Per-point failures reported by a daemon (an injected
+//     worker panic, a run timeout) are retried too: the daemon draws
+//     fresh fault seeds per job, so a retry is not doomed to repeat the
+//     fault. Only when the retry budget is exhausted does a point keep
+//     its error line.
 //   - Failover: a shard whose daemon dies keeps the lines it streamed
 //     before the cut; the prober evicts the daemon and the next round's
 //     ring rebalances only the unfinished points onto survivors.
@@ -25,6 +32,7 @@ package sweepclient
 // Bit-identity is preserved: lines carry the daemons' canonical report
 // bytes verbatim (whether streamed, store-probed, or journal-restored),
 // so the reassembled NDJSON is byte-identical to a local -grid run.
+package sweepclient
 
 import (
 	"context"
@@ -45,7 +53,7 @@ import (
 // FleetOptions configures a Fleet.
 type FleetOptions struct {
 	// URLs are the coemud base URLs forming the fleet membership. At
-	// least one is required; one URL degenerates to Client behavior.
+	// least one is required; with one URL every round is one shard.
 	URLs []string
 	// Retries bounds how many failed rounds the fleet rides out before
 	// settling unfinished points with their last error; 0 means
@@ -55,12 +63,6 @@ type FleetOptions struct {
 	// rounds; zero values take the defaults.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// HTTPClient overrides the sweep/lookup transport.
-	HTTPClient *http.Client
-	// Replicas and LoadFactor tune the ring (zero takes
-	// DefaultRingReplicas / DefaultLoadFactor).
-	Replicas   int
-	LoadFactor float64
 	// ProbeInterval and FailThreshold tune the health prober (zero takes
 	// DefaultProbeInterval / DefaultFailThreshold).
 	ProbeInterval time.Duration
@@ -75,15 +77,13 @@ type FleetOptions struct {
 
 // Fleet shards sweeps across a health-checked set of coemud daemons.
 type Fleet struct {
-	retries  int
-	base     time.Duration
-	max      time.Duration
-	http     *http.Client
-	replicas int
-	factor   float64
-	journal  *Journal
-	logf     func(format string, args ...any)
-	prober   *prober
+	retries int
+	base    time.Duration
+	max     time.Duration
+	http    *http.Client
+	journal *Journal
+	logf    func(format string, args ...any)
+	prober  *prober
 }
 
 // NewFleet builds a fleet and starts its health prober (stop it with
@@ -100,15 +100,15 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 		}
 		urls[i] = u
 	}
+	// The sweep client's generous timeout covers a response that
+	// streams for the whole shard.
 	f := &Fleet{
-		retries:  opts.Retries,
-		base:     opts.BaseBackoff,
-		max:      opts.MaxBackoff,
-		http:     opts.HTTPClient,
-		replicas: opts.Replicas,
-		factor:   opts.LoadFactor,
-		journal:  opts.Journal,
-		logf:     opts.Logf,
+		retries: opts.Retries,
+		base:    opts.BaseBackoff,
+		max:     opts.MaxBackoff,
+		http:    &http.Client{Timeout: 30 * time.Minute},
+		journal: opts.Journal,
+		logf:    opts.Logf,
 	}
 	if f.retries == 0 {
 		f.retries = DefaultRetries
@@ -120,9 +120,6 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 	}
 	if f.max <= 0 {
 		f.max = DefaultMaxBackoff
-	}
-	if f.http == nil {
-		f.http = &http.Client{Timeout: 30 * time.Minute}
 	}
 	if f.logf == nil {
 		f.logf = func(string, ...any) {}
@@ -275,7 +272,7 @@ func (f *Fleet) runRound(ctx context.Context, points []*spec.Spec, hashes []stri
 	for i, m := range members {
 		urls[i] = m.URL
 	}
-	ring, rerr := NewRing(urls, f.replicas, f.factor)
+	ring, rerr := NewRing(urls, DefaultRingReplicas, DefaultLoadFactor)
 	if rerr != nil {
 		return nil, &permanentError{rerr}
 	}
@@ -304,17 +301,10 @@ func (f *Fleet) runRound(ctx context.Context, points []*spec.Spec, hashes []stri
 		wg.Add(1)
 		go func(url string, oidx []int) {
 			defer wg.Done()
-			// Each shard is a one-URL Client attempt: same POST batch, same
-			// NDJSON scan, same index remapping. Shards write disjoint got
-			// slots, so only the bookkeeping below needs the lock.
-			shard := &Client{
-				urls: []string{url},
-				base: f.base, max: f.max,
-				http: f.http,
-				logf: func(string, ...any) {},
-			}
+			// Shards write disjoint got slots, so only the bookkeeping
+			// below needs the lock.
 			shardErr := make(map[int]string)
-			_, shardAgg, aerr := shard.attempt(ctx, points, oidx, got, shardErr)
+			shardAgg, aerr := postShard(ctx, f.http, url, points, oidx, got, shardErr)
 			mu.Lock()
 			defer mu.Unlock()
 			for oi, msg := range shardErr {
@@ -361,12 +351,8 @@ func (f *Fleet) capsFor(ring *Ring, members []MemberHealth, n int) []int {
 	if !any {
 		return nil
 	}
-	factor := f.factor
-	if factor == 0 {
-		factor = DefaultLoadFactor
-	}
 	sorted := ring.Members()
-	base := int(math.Ceil(factor * float64(n) / float64(len(sorted))))
+	base := int(math.Ceil(DefaultLoadFactor * float64(n) / float64(len(sorted))))
 	if base < 1 {
 		base = 1
 	}

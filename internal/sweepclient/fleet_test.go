@@ -1,9 +1,11 @@
 package sweepclient
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -37,15 +39,17 @@ func (fs *fleetStore) get(hash string) ([]byte, bool) {
 }
 
 // run serves hash from the store, or "runs the engine" (records the
-// run and stores the report) on a miss — the real daemon's dedup.
-func (fs *fleetStore) run(hash string, report []byte) {
+// run and stores the report) on a miss — the real daemon's dedup. It
+// reports whether the store answered.
+func (fs *fleetStore) run(hash string, report []byte) (fromStore bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if _, ok := fs.data[hash]; ok {
-		return
+		return true
 	}
 	fs.engineRuns[hash]++
 	fs.data[hash] = report
+	return false
 }
 
 func (fs *fleetStore) totalRuns() int {
@@ -76,6 +80,7 @@ type stubDaemon struct {
 	posts    int
 	received map[string]int // point name → times received in a batch
 	dieAfter int
+	stream   []byte // the last complete /v1/sweep response body
 	srv      *httptest.Server
 }
 
@@ -121,7 +126,8 @@ func startStubDaemon(t *testing.T, fs *fleetStore) *stubDaemon {
 			return
 		}
 		agg := service.NewSweepAggregator(len(batch.Specs))
-		enc := json.NewEncoder(w)
+		var sent bytes.Buffer
+		enc := json.NewEncoder(io.MultiWriter(w, &sent))
 		for i, raw := range batch.Specs {
 			sp, err := spec.Parse(raw)
 			if err != nil {
@@ -137,8 +143,9 @@ func startStubDaemon(t *testing.T, fs *fleetStore) *stubDaemon {
 			d.received[sp.Name]++
 			d.mu.Unlock()
 			rep := reportFor(sp.Name)
-			fs.run(hash, rep)
-			pr := service.PointResult{Index: i, Name: sp.Name, Hash: hash, Result: &service.Result{JSON: rep}}
+			fromStore := fs.run(hash, rep)
+			pr := service.PointResult{Index: i, Name: sp.Name, Hash: hash, Result: &service.Result{JSON: rep},
+				Cached: fromStore, FromStore: fromStore}
 			if err := enc.Encode(agg.Add(pr)); err != nil {
 				return
 			}
@@ -153,7 +160,12 @@ func startStubDaemon(t *testing.T, fs *fleetStore) *stubDaemon {
 				return
 			}
 		}
-		_ = enc.Encode(agg.Line())
+		if err := enc.Encode(agg.Line()); err != nil {
+			return
+		}
+		d.mu.Lock()
+		d.stream = sent.Bytes()
+		d.mu.Unlock()
 	})
 	d.srv = httptest.NewServer(mux)
 	t.Cleanup(d.srv.Close)
@@ -172,6 +184,12 @@ func (d *stubDaemon) drop(w http.ResponseWriter) {
 	panic(http.ErrAbortHandler)
 }
 
+func (d *stubDaemon) lastStream() []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.stream
+}
+
 func (d *stubDaemon) sweepPosts() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -188,23 +206,36 @@ func (d *stubDaemon) batchPoints() int {
 	return n
 }
 
-func newTestFleet(t *testing.T, journal *Journal, urls ...string) *Fleet {
-	t.Helper()
-	f, err := NewFleet(FleetOptions{
+// testFleetOptions is the fleet configuration the tests share: fast
+// backoff and probing, and eviction on the first failure.
+func testFleetOptions(t *testing.T, urls ...string) FleetOptions {
+	return FleetOptions{
 		URLs:          urls,
 		Retries:       8,
 		BaseBackoff:   time.Millisecond,
 		MaxBackoff:    5 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
 		FailThreshold: 1,
-		Journal:       journal,
 		Logf:          t.Logf,
-	})
+	}
+}
+
+// startFleet builds a fleet that is closed when the test ends.
+func startFleet(t *testing.T, opts FleetOptions) *Fleet {
+	t.Helper()
+	f, err := NewFleet(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
 	return f
+}
+
+func newTestFleet(t *testing.T, journal *Journal, urls ...string) *Fleet {
+	t.Helper()
+	opts := testFleetOptions(t, urls...)
+	opts.Journal = journal
+	return startFleet(t, opts)
 }
 
 // requireClean asserts every line settled cleanly, in point order.
@@ -268,22 +299,77 @@ func TestFleetSingleDaemonRelaysAggregateVerbatim(t *testing.T) {
 	fs := newFleetStore()
 	d := startStubDaemon(t, fs)
 	points := testPoints(t, 4)
-
 	fleet := newTestFleet(t, nil, d.srv.URL)
-	lines, rawAgg, err := fleet.RunPoints(context.Background(), points)
+
+	// The second sweep is answered from the store, so only a relayed
+	// aggregate can carry its hit count.
+	for round, wantHits := range []int{0, 4} {
+		lines, rawAgg, err := fleet.RunPoints(context.Background(), points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireClean(t, points, lines)
+		if rawAgg == nil {
+			t.Fatalf("sweep %d: single clean shard must relay the daemon's aggregate verbatim", round)
+		}
+		var aggLine service.SweepAggregateLine
+		if err := json.Unmarshal(rawAgg, &aggLine); err != nil {
+			t.Fatalf("sweep %d: relayed aggregate is not an aggregate line: %v", round, err)
+		}
+		if agg := aggLine.Aggregate; agg.Points != 4 || agg.OK != 4 || agg.StoreHits != wantHits {
+			t.Fatalf("sweep %d: relayed aggregate counts %+v, want 4/4 with %d store hits", round, agg, wantHits)
+		}
+
+		// The reassembled stream must be byte-identical to what the
+		// daemon sent: same encoder, same structs, verbatim aggregate.
+		var out bytes.Buffer
+		if err := WriteNDJSON(&out, lines, rawAgg); err != nil {
+			t.Fatal(err)
+		}
+		if sent := d.lastStream(); !bytes.Equal(out.Bytes(), sent) {
+			t.Fatalf("sweep %d: reassembled stream differs:\ngot:  %s\nwant: %s", round, out.Bytes(), sent)
+		}
+	}
+}
+
+func TestFleetMultiShardStreamMatchesAggregator(t *testing.T) {
+	fs := newFleetStore()
+	urls := []string{startStubDaemon(t, fs).srv.URL, startStubDaemon(t, fs).srv.URL, startStubDaemon(t, fs).srv.URL}
+	points := testPoints(t, 12)
+
+	lines, rawAgg, err := newTestFleet(t, nil, urls...).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireClean(t, points, lines)
-	if rawAgg == nil {
-		t.Fatal("single clean shard must relay the daemon's aggregate verbatim")
+	if rawAgg != nil {
+		t.Fatal("multi-shard sweep relayed a single daemon's aggregate")
 	}
-	var aggLine service.SweepAggregateLine
-	if err := json.Unmarshal(rawAgg, &aggLine); err != nil {
-		t.Fatalf("relayed aggregate is not an aggregate line: %v", err)
+	var got bytes.Buffer
+	if err := WriteNDJSON(&got, lines, nil); err != nil {
+		t.Fatal(err)
 	}
-	if aggLine.Aggregate.Points != 4 || aggLine.Aggregate.OK != 4 {
-		t.Fatalf("relayed aggregate counts %+v, want 4/4", aggLine.Aggregate)
+
+	// The same results through service.SweepAggregator in one process,
+	// the way coemud's /v1/sweep and local -grid runs write them.
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	agg := service.NewSweepAggregator(len(points))
+	for i, p := range points {
+		hash, err := p.CanonicalHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := service.PointResult{Index: i, Name: p.Name, Hash: hash, Result: &service.Result{JSON: reportFor(p.Name)}}
+		if err := enc.Encode(agg.Add(pr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Encode(agg.Line()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("rebuilt stream differs from SweepAggregator output:\ngot:  %s\nwant: %s", got.Bytes(), want.Bytes())
 	}
 }
 
@@ -308,12 +394,12 @@ func TestFleetConcurrentShardDeathNoDoubleCount(t *testing.T) {
 
 	// No point is double-counted in the aggregate: exactly one row per
 	// point, each index once, totals exact.
-	agg := buildAggregate(lines)
-	if agg.Aggregate.Points != 30 || agg.Aggregate.OK != 30 || agg.Aggregate.Errors != 0 {
-		t.Fatalf("aggregate counts %+v, want 30 points / 30 ok / 0 errors", agg.Aggregate)
+	agg := rebuiltAggregate(t, lines)
+	if agg.Points != 30 || agg.OK != 30 || agg.Errors != 0 {
+		t.Fatalf("aggregate counts %+v, want 30 points / 30 ok / 0 errors", agg)
 	}
 	seen := make(map[int]bool)
-	for _, row := range agg.Aggregate.Table {
+	for _, row := range agg.Table {
 		if seen[row.Index] {
 			t.Fatalf("point %d double-counted in the aggregate", row.Index)
 		}

@@ -92,30 +92,51 @@ func pointResult(t *testing.T, index int, name string) service.PointResult {
 	return service.PointResult{Index: index, Name: name, Hash: "h-" + name, Result: res}
 }
 
-func newClient(t *testing.T, urls ...string) *Client {
+// newSweepServer starts a daemon stub whose POST /v1/sweep is sweep.
+// It answers /v1/healthz like an idle daemon and 404s every
+// /v1/results/{hash} lookup, so every retry round re-submits.
+func newSweepServer(t *testing.T, sweep http.HandlerFunc) *httptest.Server {
 	t.Helper()
-	c, err := New(Options{
-		URLs:        urls,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Logf:        t.Logf,
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"ok":true}`)
 	})
-	if err != nil {
+	mux.HandleFunc("GET /v1/results/{hash}", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"no completed result for that hash"}`, http.StatusNotFound)
+	})
+	mux.HandleFunc("POST /v1/sweep", sweep)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// rebuiltAggregate writes lines with WriteNDJSON and no relayed
+// aggregate, then decodes the rebuilt aggregate line the stream ends
+// with.
+func rebuiltAggregate(t *testing.T, lines []service.SweepLine) service.SweepAggregate {
+	t.Helper()
+	var out bytes.Buffer
+	if err := WriteNDJSON(&out, lines, nil); err != nil {
 		t.Fatal(err)
 	}
-	return c
+	trimmed := bytes.TrimSpace(out.Bytes())
+	var aggLine service.SweepAggregateLine
+	if err := json.Unmarshal(trimmed[bytes.LastIndexByte(trimmed, '\n')+1:], &aggLine); err != nil {
+		t.Fatal(err)
+	}
+	return aggLine.Aggregate
 }
 
 func TestCleanRoundRelaysAggregateVerbatim(t *testing.T) {
 	points := testPoints(t, 3)
 	var stream bytes.Buffer
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := newSweepServer(t, func(w http.ResponseWriter, r *http.Request) {
 		names := decodeBatch(t, r)
-		serveLines(t, io2(w, &stream), names)
-	}))
-	defer srv.Close()
+		serveLines(t, &teeWriter{w: w, buf: &stream}, names)
+	})
 
-	lines, rawAgg, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
+	lines, rawAgg, err := newTestFleet(t, nil, srv.URL).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +160,7 @@ func TestCleanRoundRelaysAggregateVerbatim(t *testing.T) {
 	}
 }
 
-// io2 tees a ResponseWriter so tests can capture the exact stream.
-func io2(w http.ResponseWriter, buf *bytes.Buffer) http.ResponseWriter {
-	return &teeWriter{w: w, buf: buf}
-}
-
+// teeWriter tees a ResponseWriter so a test can capture the exact stream.
 type teeWriter struct {
 	w   http.ResponseWriter
 	buf *bytes.Buffer
@@ -156,19 +173,18 @@ func (t *teeWriter) Write(p []byte) (int, error) {
 	return t.w.Write(p)
 }
 
-func TestFailoverToSecondDaemon(t *testing.T) {
+func TestFleetFailoverToSecondDaemon(t *testing.T) {
 	points := testPoints(t, 2)
 	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	dead.Close() // connection refused from here on
 
 	var hits atomic.Int32
-	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	live := newSweepServer(t, func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		serveLines(t, w, decodeBatch(t, r))
-	}))
-	defer live.Close()
+	})
 
-	lines, _, err := newClient(t, dead.URL, live.URL).RunPoints(context.Background(), points)
+	lines, _, err := newTestFleet(t, nil, dead.URL, live.URL).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +198,11 @@ func TestFailoverToSecondDaemon(t *testing.T) {
 	}
 }
 
-func TestMidStreamDisconnectResumesMissingOnly(t *testing.T) {
+func TestFleetMidStreamDisconnectResumesMissingOnly(t *testing.T) {
 	points := testPoints(t, 4)
 	var round atomic.Int32
 	var secondBatch atomic.Value
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := newSweepServer(t, func(w http.ResponseWriter, r *http.Request) {
 		names := decodeBatch(t, r)
 		if round.Add(1) == 1 {
 			// Serve the first two lines, then die mid-stream.
@@ -205,10 +221,9 @@ func TestMidStreamDisconnectResumesMissingOnly(t *testing.T) {
 		}
 		secondBatch.Store(strings.Join(names, ","))
 		serveLines(t, w, names)
-	}))
-	defer srv.Close()
+	})
 
-	lines, rawAgg, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
+	lines, rawAgg, err := newTestFleet(t, nil, srv.URL).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,28 +242,25 @@ func TestMidStreamDisconnectResumesMissingOnly(t *testing.T) {
 	}
 }
 
-func TestRetryAfterHonoredOn503(t *testing.T) {
+func TestFleetRetryAfterHonoredOn503(t *testing.T) {
 	points := testPoints(t, 1)
 	var round atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := newSweepServer(t, func(w http.ResponseWriter, r *http.Request) {
 		if round.Add(1) == 1 {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
 			return
 		}
 		serveLines(t, w, decodeBatch(t, r))
-	}))
-	defer srv.Close()
+	})
 
 	// The hint must fit under MaxBackoff to be honored in full, so this
-	// client raises the ceiling above the 1s hint (newClient's 2ms
+	// fleet raises the ceiling above the 1s hint (newTestFleet's 5ms
 	// ceiling would clamp it — that behavior has its own test below).
-	c, err := New(Options{URLs: []string{srv.URL}, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Second, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := testFleetOptions(t, srv.URL)
+	opts.MaxBackoff = 2 * time.Second
 	start := time.Now()
-	lines, _, err := c.RunPoints(context.Background(), points)
+	lines, _, err := startFleet(t, opts).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +273,10 @@ func TestRetryAfterHonoredOn503(t *testing.T) {
 	}
 }
 
-func TestRetryAfterCappedAtMaxBackoff(t *testing.T) {
+func TestFleetRetryAfterCappedAtMaxBackoff(t *testing.T) {
 	points := testPoints(t, 1)
 	var round atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := newSweepServer(t, func(w http.ResponseWriter, r *http.Request) {
 		if round.Add(1) == 1 {
 			// A misbehaving daemon advertising an hour must not stall the
 			// sweep past the configured backoff ceiling.
@@ -273,11 +285,10 @@ func TestRetryAfterCappedAtMaxBackoff(t *testing.T) {
 			return
 		}
 		serveLines(t, w, decodeBatch(t, r))
-	}))
-	defer srv.Close()
+	})
 
 	start := time.Now()
-	lines, _, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
+	lines, _, err := newTestFleet(t, nil, srv.URL).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,39 +296,36 @@ func TestRetryAfterCappedAtMaxBackoff(t *testing.T) {
 		t.Fatalf("line failed: %s", lines[0].Error)
 	}
 	if waited := time.Since(start); waited > 10*time.Second {
-		t.Fatalf("retried after %v; Retry-After of 1h not capped at the 2ms MaxBackoff", waited)
+		t.Fatalf("retried after %v; Retry-After of 1h not capped at the 5ms MaxBackoff", waited)
 	}
 }
 
-func TestRetryAfterHTTPDateHonored(t *testing.T) {
+func TestFleetRetryAfterHTTPDateHonored(t *testing.T) {
 	points := testPoints(t, 1)
 	var round atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := newSweepServer(t, func(w http.ResponseWriter, r *http.Request) {
 		if round.Add(1) == 1 {
 			// RFC 7231's other Retry-After form: an absolute HTTP-date.
-			w.Header().Set("Retry-After", time.Now().Add(time.Second).UTC().Format(http.TimeFormat))
+			w.Header().Set("Retry-After", time.Now().Add(2*time.Second).UTC().Format(http.TimeFormat))
 			http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
 			return
 		}
 		serveLines(t, w, decodeBatch(t, r))
-	}))
-	defer srv.Close()
+	})
 
-	c, err := New(Options{URLs: []string{srv.URL}, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Second, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := testFleetOptions(t, srv.URL)
+	opts.MaxBackoff = 3 * time.Second
 	start := time.Now()
-	lines, _, err := c.RunPoints(context.Background(), points)
+	lines, _, err := startFleet(t, opts).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lines[0].Error != "" {
 		t.Fatalf("line failed: %s", lines[0].Error)
 	}
-	// http.TimeFormat has second granularity, so the parsed delay is
-	// anywhere in (0s, 1s]; it must at least outrank the ms backoff.
-	if waited := time.Since(start); waited < 50*time.Millisecond {
+	// http.TimeFormat has second granularity, so a date 2s ahead parses
+	// to a delay anywhere in (1s, 2s]; it must outrank the ms backoff.
+	if waited := time.Since(start); waited < 500*time.Millisecond {
 		t.Fatalf("retried after %v; HTTP-date Retry-After not honored", waited)
 	}
 }
@@ -342,16 +350,15 @@ func TestParseRetryAfterForms(t *testing.T) {
 	}
 }
 
-func TestBadRequestIsPermanent(t *testing.T) {
+func TestFleetBadRequestIsPermanent(t *testing.T) {
 	points := testPoints(t, 1)
 	var hits atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := newSweepServer(t, func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		http.Error(w, `{"error":"bad spec"}`, http.StatusBadRequest)
-	}))
-	defer srv.Close()
+	})
 
-	_, _, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
+	_, _, err := newTestFleet(t, nil, srv.URL).RunPoints(context.Background(), points)
 	if err == nil || !strings.Contains(err.Error(), "bad spec") {
 		t.Fatalf("err = %v, want the daemon's 400", err)
 	}
@@ -360,10 +367,10 @@ func TestBadRequestIsPermanent(t *testing.T) {
 	}
 }
 
-func TestPointErrorRetriesThenSucceeds(t *testing.T) {
+func TestFleetPointErrorRetriesThenSucceeds(t *testing.T) {
 	points := testPoints(t, 2)
 	var round atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := newSweepServer(t, func(w http.ResponseWriter, r *http.Request) {
 		names := decodeBatch(t, r)
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc := json.NewEncoder(w)
@@ -379,10 +386,9 @@ func TestPointErrorRetriesThenSucceeds(t *testing.T) {
 		}
 		enc.Encode(agg.Line())
 		round.Add(1)
-	}))
-	defer srv.Close()
+	})
 
-	lines, rawAgg, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
+	lines, rawAgg, err := newTestFleet(t, nil, srv.URL).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,9 +408,9 @@ func TestPointErrorRetriesThenSucceeds(t *testing.T) {
 	}
 }
 
-func TestExhaustedBudgetSettlesErrorLines(t *testing.T) {
+func TestFleetExhaustedBudgetSettlesErrorLines(t *testing.T) {
 	points := testPoints(t, 2)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := newSweepServer(t, func(w http.ResponseWriter, r *http.Request) {
 		names := decodeBatch(t, r)
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc := json.NewEncoder(w)
@@ -417,15 +423,11 @@ func TestExhaustedBudgetSettlesErrorLines(t *testing.T) {
 			enc.Encode(agg.Add(pr))
 		}
 		enc.Encode(agg.Line())
-	}))
-	defer srv.Close()
+	})
 
-	c, err := New(Options{URLs: []string{srv.URL}, Retries: 2,
-		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines, _, err := c.RunPoints(context.Background(), points)
+	opts := testFleetOptions(t, srv.URL)
+	opts.Retries = 2
+	lines, _, err := startFleet(t, opts).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,25 +439,16 @@ func TestExhaustedBudgetSettlesErrorLines(t *testing.T) {
 	}
 
 	// The rebuilt aggregate counts the surviving error.
-	var out bytes.Buffer
-	if err := WriteNDJSON(&out, lines, nil); err != nil {
-		t.Fatal(err)
-	}
-	last := out.Bytes()[bytes.LastIndexByte(bytes.TrimSpace(out.Bytes()), '\n')+1:]
-	var aggLine service.SweepAggregateLine
-	if err := json.Unmarshal(last, &aggLine); err != nil {
-		t.Fatal(err)
-	}
-	if aggLine.Aggregate.OK != 1 || aggLine.Aggregate.Errors != 1 || aggLine.Aggregate.Points != 2 {
-		t.Fatalf("rebuilt aggregate = %+v", aggLine.Aggregate)
+	if agg := rebuiltAggregate(t, lines); agg.OK != 1 || agg.Errors != 1 || agg.Points != 2 {
+		t.Fatalf("rebuilt aggregate = %+v", agg)
 	}
 }
 
-func TestNewRejectsEmptyURLs(t *testing.T) {
-	if _, err := New(Options{}); err == nil {
-		t.Fatal("New accepted an empty URL list")
+func TestFleetRejectsEmptyURLs(t *testing.T) {
+	if _, err := NewFleet(FleetOptions{}); err == nil {
+		t.Fatal("NewFleet accepted an empty URL list")
 	}
-	if _, err := New(Options{URLs: []string{" "}}); err == nil {
-		t.Fatal("New accepted a blank URL")
+	if _, err := NewFleet(FleetOptions{URLs: []string{" "}}); err == nil {
+		t.Fatal("NewFleet accepted a blank URL")
 	}
 }
