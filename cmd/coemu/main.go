@@ -39,6 +39,7 @@ import (
 	"slices"
 
 	"coemu"
+	"coemu/internal/amba"
 	"coemu/internal/channel"
 	"coemu/internal/ip"
 	"coemu/internal/remote"
@@ -349,6 +350,13 @@ func print(rep *coemu.Report) {
 		s.RunAheadCycles, s.FollowUpCycles, s.RollForthCycles, s.Rollbacks)
 	fmt.Printf("  predictions checked %d, mispredicted %d (injected %d)\n",
 		s.ChecksTotal, s.Mispredicts, s.Injected)
+	if s.Mispredicts > s.Injected {
+		fmt.Print("  organic mispredicts by signal:")
+		for sig, n := range s.MispredictsBySignal {
+			fmt.Printf(" %v=%d", amba.Signal(sig), n)
+		}
+		fmt.Println()
+	}
 	if len(s.Declines) > 0 {
 		fmt.Println("  decline reasons:")
 		for _, r := range sortedKeys(s.Declines) {

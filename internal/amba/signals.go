@@ -183,3 +183,70 @@ func MergeInto(dst *CycleState, a, b *PartialState) {
 // flags. Used by the lagger's prediction check (L-1 in the paper's CW
 // state diagram).
 func (p PartialState) Equal(o PartialState) bool { return p == o }
+
+// Signal is a class of MSABS signal groups, the unit a misprediction is
+// attributed to. The constants are in attribution order: a miss counts
+// against the first class whose values differ.
+type Signal uint8
+
+// Signal classes, in attribution order.
+const (
+	SigRequest Signal = iota // HBUSREQx
+	SigTrans                 // HTRANS
+	SigAddr                  // HADDR and the rest of address/control
+	SigWData                 // HWDATA
+	SigReady                 // HREADY
+	SigResp                  // HRESP
+	SigRData                 // HRDATA
+	SigIRQ                   // interrupt lines
+	SigSplit                 // HSPLITx
+	NumSignals
+)
+
+var signalNames = [NumSignals]string{
+	SigRequest: "request",
+	SigTrans:   "htrans",
+	SigAddr:    "haddr",
+	SigWData:   "hwdata",
+	SigReady:   "hready",
+	SigResp:    "hresp",
+	SigRData:   "hrdata",
+	SigIRQ:     "irq",
+	SigSplit:   "hsplit",
+}
+
+// String returns the class's label (stable: metrics and traces key on
+// it).
+func (s Signal) String() string {
+	if s < NumSignals {
+		return signalNames[s]
+	}
+	return fmt.Sprintf("Signal(%d)", uint8(s))
+}
+
+// FirstDiff returns the first signal class, in attribution order, in
+// which p and o differ; ok is false when they are equal. A presence
+// flag counts with the group it guards.
+func (p *PartialState) FirstDiff(o *PartialState) (s Signal, ok bool) {
+	switch {
+	case p.Req != o.Req || p.ReqMask != o.ReqMask:
+		return SigRequest, true
+	case p.HasAP != o.HasAP || p.AP.Trans != o.AP.Trans:
+		return SigTrans, true
+	case p.AP != o.AP:
+		return SigAddr, true
+	case p.HasWData != o.HasWData || p.WData != o.WData:
+		return SigWData, true
+	case p.HasReply != o.HasReply || p.Reply.Ready != o.Reply.Ready:
+		return SigReady, true
+	case p.Reply.Resp != o.Reply.Resp:
+		return SigResp, true
+	case p.Reply.RData != o.Reply.RData:
+		return SigRData, true
+	case p.IRQ != o.IRQ || p.IRQMask != o.IRQMask:
+		return SigIRQ, true
+	case p.Split != o.Split || p.SplitMask != o.SplitMask:
+		return SigSplit, true
+	}
+	return 0, false
+}

@@ -93,3 +93,40 @@ func TestCycleStateEqual(t *testing.T) {
 		t.Error("different states must not be equal")
 	}
 }
+
+func TestFirstDiffAttributionOrder(t *testing.T) {
+	base := PartialState{
+		Req: 0b01, ReqMask: 0b01,
+		HasAP: true, AP: AddrPhase{Addr: 0x100, Trans: TransSeq, Write: true, Size: Size32, Burst: BurstIncr4},
+		HasReply: true, Reply: SlaveReply{Ready: true, Resp: RespOkay},
+		SplitMask: 0b11,
+	}
+	if _, ok := base.FirstDiff(&base); ok {
+		t.Fatal("FirstDiff of equal states reported a class")
+	}
+	cases := []struct {
+		want Signal
+		mut  func(*PartialState)
+	}{
+		{SigRequest, func(p *PartialState) { p.Req = 0; p.AP.Trans = TransIdle }},
+		{SigTrans, func(p *PartialState) { p.AP.Trans = TransNonSeq; p.AP.Addr = 0x104 }},
+		{SigAddr, func(p *PartialState) { p.AP.Burst = BurstIncr; p.Reply.Ready = false }},
+		{SigWData, func(p *PartialState) { p.HasWData = true }},
+		{SigReady, func(p *PartialState) { p.Reply = SlaveReply{Ready: false, Resp: RespSplit} }},
+		{SigResp, func(p *PartialState) { p.Reply.Resp = RespRetry; p.Split = 1 }},
+		{SigRData, func(p *PartialState) { p.Reply.RData = 7 }},
+		{SigIRQ, func(p *PartialState) { p.IRQMask = 1; p.Split = 1 }},
+		{SigSplit, func(p *PartialState) { p.Split = 0b10 }},
+	}
+	for _, c := range cases {
+		o := base
+		c.mut(&o)
+		got, ok := base.FirstDiff(&o)
+		if !ok || got != c.want {
+			t.Errorf("FirstDiff = %v, %v; want %v", got, ok, c.want)
+		}
+	}
+	if s := SigSplit.String(); s != "hsplit" {
+		t.Errorf("SigSplit.String() = %q", s)
+	}
+}

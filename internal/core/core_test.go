@@ -359,22 +359,29 @@ func TestEquivalenceErrorResponses(t *testing.T) {
 }
 
 func TestEquivalenceRetrySlave(t *testing.T) {
+	// The leader mirrors the remote RETRY memory with a reply model, so
+	// ALS predicts the stream exactly; injected faults then force the
+	// RETRY sequences through rollback and roll-forth.
 	d := streamDesign(AccDomain, SimDomain, 0, 0)
 	d.Slaves[0].New = func() bus.Slave { return ip.NewRetryMemory("mem", 0, 5) }
 	for _, mode := range []Mode{Conservative, ALS} {
 		rep := runBoth(t, d, Config{Mode: mode}, 400)
-		if mode == ALS && rep.Stats.Mispredicts == 0 {
-			t.Fatal("RETRY responses must defeat the OKAY-only wait model")
+		if mode == ALS && rep.Stats.Mispredicts != 0 {
+			t.Fatalf("RETRY responses must be predicted exactly: %d mispredicts", rep.Stats.Mispredicts)
 		}
+	}
+	rep := runBoth(t, d, Config{Mode: ALS, Accuracy: 0.9, FaultSeed: 1}, 400)
+	if rep.Stats.Rollbacks == 0 {
+		t.Fatal("injected faults must roll back over RETRY traffic")
 	}
 }
 
 func TestEquivalenceSplitSlave(t *testing.T) {
 	// A SPLIT-capable memory in the simulator, written by an RTL master
 	// in the accelerator. SPLIT responses and HSPLITx release pulses
-	// cross the domain boundary; the leader's wait model knows nothing
-	// about them, so every split costs rollbacks — and the trace must
-	// still be cycle-exact.
+	// cross the domain boundary; the leader's reply model predicts them
+	// exactly, and under injected faults they go through rollback and
+	// roll-forth — with the trace cycle-exact either way.
 	d := Design{
 		Masters: []MasterSpec{{
 			Name: "dma", Domain: AccDomain,
@@ -392,8 +399,16 @@ func TestEquivalenceSplitSlave(t *testing.T) {
 	}
 	for _, mode := range []Mode{Conservative, ALS, Auto} {
 		rep := runBoth(t, d, Config{Mode: mode}, 500)
-		if mode != Conservative && rep.Stats.Mispredicts == 0 {
-			t.Fatalf("mode %v: SPLIT traffic must defeat the wait model", mode)
+		if rep.Stats.Mispredicts != 0 {
+			t.Fatalf("mode %v: SPLIT traffic must be predicted exactly: %d mispredicts",
+				mode, rep.Stats.Mispredicts)
+		}
+		if mode == Conservative {
+			continue
+		}
+		rep = runBoth(t, d, Config{Mode: mode, Accuracy: 0.9, FaultSeed: 1}, 500)
+		if rep.Stats.Rollbacks == 0 {
+			t.Fatalf("mode %v: injected faults must roll back over SPLIT traffic", mode)
 		}
 	}
 }

@@ -53,13 +53,16 @@ type SlaveSpec struct {
 	Name   string
 	Domain DomainID
 	Region bus.Region
-	// New constructs the slave.
+	// New constructs the slave. The domain that does not own the slave
+	// also calls it once, to read which predictor mirrors it.
 	New func() bus.Slave
 	// WaitFirst/WaitNext declare the slave's nominal deterministic wait
 	// profile, which configures the remote-side response predictor. For
 	// slaves whose real latency differs (jittery memories), the profile
 	// is the predictor's best guess and mispredictions ensue — exactly
-	// the experiment the paper's accuracy axis abstracts.
+	// the experiment the paper's accuracy axis abstracts. RETRY and
+	// SPLIT memories ignore it: the predictor mirrors them exactly from
+	// the parameters of the instance New returns.
 	WaitFirst, WaitNext int
 	// IRQMask declares interrupt lines the slave owns (it must
 	// implement bus.IRQSource if non-zero).

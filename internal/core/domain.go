@@ -69,7 +69,6 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 		}
 	}
 
-	waitProfiles := make(map[int][2]int)
 	var remoteIRQ uint32
 	remoteSplit := false
 	for _, ss := range d.Slaves {
@@ -91,8 +90,7 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 				dom.tickers = append(dom.tickers, c)
 			}
 		} else {
-			idx := dom.bus.MapExternalSlave(ss.Name, ss.Region)
-			waitProfiles[idx] = [2]int{ss.WaitFirst, ss.WaitNext}
+			dom.bus.MapExternalSlave(ss.Name, ss.Region)
 			remoteIRQ |= ss.IRQMask
 			if ss.SplitCapable {
 				remoteSplit = true
@@ -100,7 +98,7 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 		}
 	}
 
-	dom.pred = newRemotePredictor(dom.bus, d.OwnsDefault == id, waitProfiles, opts)
+	dom.pred = newRemotePredictor(dom.bus, d.OwnsDefault == id, d.Slaves, opts)
 	dom.pred.setRemoteIRQMask(remoteIRQ)
 	if remoteSplit {
 		dom.pred.setRemoteSplitMask((1 << uint(dom.bus.Masters())) - 1)

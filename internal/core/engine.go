@@ -199,8 +199,11 @@ const DefaultCycleBatch = 64
 // instead of serving stale bytes. Bump it with any change that alters
 // the canonical report of some spec. Version 2: the wait model's
 // Predict became side-effect-free, changing the rollback statistics of
-// every design with a waited remote slave.
-const ModelVersion = 2
+// every design with a waited remote slave. Version 3: exact reply
+// models for remote RETRY and SPLIT slaves, and burst-rebuild
+// prediction for masters that lose the grant or a beat mid-burst,
+// changing the statistics of designs with either.
+const ModelVersion = 3
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -271,6 +274,12 @@ type Stats struct {
 	// host-side diagnostic: modeled metrics are bit-identical whatever
 	// its value, so the service report view deliberately excludes it.
 	BatchedCycles int64
+
+	// MispredictsBySignal splits the organic mispredictions
+	// (Mispredicts - Injected) by the first signal class whose
+	// predicted value missed (amba.PartialState.FirstDiff). Like
+	// BatchedCycles it is a diagnostic outside the report view.
+	MispredictsBySignal [amba.NumSignals]int64
 }
 
 // Report is the outcome of an engine run.
@@ -1000,14 +1009,15 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		}
 		e.failEWMA = e.failEWMA*(1-ewmaBlend) + ewmaBlend
 		e.stats.Mispredicts++
+		var sig amba.Signal
+		if !injected {
+			sig, _ = laggerOut.FirstDiff(&entry.Pred)
+			e.stats.MispredictsBySignal[sig]++
+		}
 		if e.cfg.Tracer != nil {
-			arg := int64(0)
-			if injected {
-				arg = 1
-			}
 			e.traceEvent(trace.Event{
 				Cycle: base + int64(i), Kind: trace.EvMispredict,
-				Domain: uint8(lagger.ID()), Arg: arg,
+				Domain: uint8(lagger.ID()), Arg: trace.MispredictArg(sig, injected),
 			})
 			e.traceEvent(trace.Event{
 				Cycle: base, N: committed - committedLead,

@@ -170,3 +170,53 @@ func TestExampleRunWarmupAllocs(t *testing.T) {
 			warmupCycles, n, rep.Stats.Stores, warmupAllocBound)
 	}
 }
+
+// TestMispredictAttributionSums checks the misprediction attribution's
+// accounting identity on every example spec: the per-signal organic
+// counts sum to Mispredicts - Injected, with the examples' organic
+// accuracy and with a pinned accuracy that adds injected misses.
+func TestMispredictAttributionSums(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 5 {
+		t.Fatalf("found %d example specs, want 5", len(paths))
+	}
+	for _, p := range paths {
+		name := filepath.Base(filepath.Dir(p))
+		for _, acc := range []float64{0, 0.9} {
+			t.Run(fmt.Sprintf("%s/accuracy=%v", name, acc), func(t *testing.T) {
+				s, err := spec.Load(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, cfg, err := s.Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Accuracy = acc
+				e, err := core.NewEngine(d, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := e.Run(s.Run.Cycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := rep.Stats
+				var sum int64
+				for _, n := range st.MispredictsBySignal {
+					sum += n
+				}
+				if sum != st.Mispredicts-st.Injected {
+					t.Fatalf("signal classes sum to %d, Mispredicts %d - Injected %d = %d (%v)",
+						sum, st.Mispredicts, st.Injected, st.Mispredicts-st.Injected, st.MispredictsBySignal)
+				}
+				if acc != 0 && st.Injected == 0 {
+					t.Fatal("pinned accuracy injected no misses; the identity was checked without them")
+				}
+			})
+		}
+	}
+}

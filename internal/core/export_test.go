@@ -22,6 +22,7 @@ type predictorCapture struct {
 	Req, IRQ predict.LastValue
 	Trackers []predict.BurstTracker
 	Waits    []predict.WaitModel
+	Replies  []predict.ReplyModel
 	Frame    predFrame
 	Saved    predFrame
 }
@@ -37,6 +38,9 @@ func (p *remotePredictor) capture() predictorCapture {
 		if w != nil {
 			c.Waits = append(c.Waits, *w)
 		}
+	}
+	for _, i := range p.replySlaves {
+		c.Replies = append(c.Replies, *p.replies[i])
 	}
 	return c
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"coemu/internal/amba"
 	"coemu/internal/bus"
+	"coemu/internal/ip"
 	"coemu/internal/predict"
 )
 
@@ -13,7 +14,12 @@ import (
 //   - address/control of a remotely-granted master: burst continuation
 //     (one tracker per remote master),
 //   - responses of a remote active slave: producer-consumer wait model
-//     (one per remote slave, configured with its nominal profile),
+//     (one per remote slave, configured with its nominal profile), or
+//     an exact reply model for slaves that declare one (the RETRY and
+//     SPLIT memories, whose model also predicts the HSPLITx release),
+//   - the address phase of a master that lost its burst: held during
+//     wait states, IDLE on the first cycle of a two-cycle response to
+//     its beat and while split-masked, then the NONSEQ INCR rebuild,
 //   - default-slave replies (when owned remotely): a two-cycle ERROR
 //     mirror,
 //   - read data and remote write data: never predicted — Predict
@@ -30,7 +36,10 @@ type remotePredictor struct {
 	remoteReqMask   uint32
 	remoteIRQMask   uint32
 	remoteSplitMask uint32
-	ownsDefault     bool
+	// replySlaves lists the remote slaves with a reply model (see
+	// replies), so the per-cycle loops visit only those.
+	replySlaves []int
+	ownsDefault bool
 	// coupleReq derives the granted remote master's request bit from
 	// its predicted address phase instead of last-value (enabled with
 	// the burst-start extension, whose boundary cycles otherwise
@@ -45,7 +54,8 @@ type remotePredictor struct {
 	// instead of the map accesses and map iteration that used to
 	// dominate the rollback-heavy store/restore profile.
 	trackers []*predict.BurstTracker // per remote master
-	waits    []*predict.WaitModel    // per remote slave
+	waits    []*predict.WaitModel    // per remote slave without a reply model
+	replies  []*predict.ReplyModel   // per remote slave with one
 
 	predFrame
 	saved predFrame // rollback shadow of predFrame
@@ -86,15 +96,18 @@ type predictorOptions struct {
 }
 
 // newRemotePredictor builds the composite for a domain whose half-bus is
-// b. waitProfiles maps global slave indexes of *remote* slaves to their
-// nominal (first, next) wait profile.
-func newRemotePredictor(b *bus.Bus, ownsDefault bool, waitProfiles map[int][2]int, opts predictorOptions) *remotePredictor {
+// b. slaves lists the design's slaves in global index order. Each
+// *remote* one is instantiated once to read its kind: RETRY and SPLIT
+// memories get a reply model built from their own parameters, every
+// other slave a wait model of its nominal (WaitFirst, WaitNext) profile.
+func newRemotePredictor(b *bus.Bus, ownsDefault bool, slaves []SlaveSpec, opts predictorOptions) *remotePredictor {
 	p := &remotePredictor{
 		b:             b,
 		remoteReqMask: ^b.LocalReqMask() & ((1 << uint(b.Masters())) - 1),
 		ownsDefault:   ownsDefault,
 		trackers:      make([]*predict.BurstTracker, b.Masters()),
 		waits:         make([]*predict.WaitModel, b.Slaves()),
+		replies:       make([]*predict.ReplyModel, b.Slaves()),
 	}
 	p.coupleReq = opts.Starts
 	for i := 0; i < b.Masters(); i++ {
@@ -102,8 +115,20 @@ func newRemotePredictor(b *bus.Bus, ownsDefault bool, waitProfiles map[int][2]in
 			p.trackers[i] = &predict.BurstTracker{PredictIdle: opts.Idle, PredictStarts: opts.Starts}
 		}
 	}
-	for idx, prof := range waitProfiles {
-		p.waits[idx] = predict.NewWaitModel(prof[0], prof[1])
+	for i, ss := range slaves {
+		if b.SlaveLocal(i) {
+			continue
+		}
+		switch s := ss.New().(type) {
+		case *ip.RetryMemory:
+			p.replies[i] = predict.NewRetryModel(s.Params())
+		case *ip.SplitMemory:
+			p.replies[i] = predict.NewSplitModel(s.Params())
+		default:
+			p.waits[i] = predict.NewWaitModel(ss.WaitFirst, ss.WaitNext)
+			continue
+		}
+		p.replySlaves = append(p.replySlaves, i)
 	}
 	return p
 }
@@ -137,23 +162,41 @@ const (
 func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 	out := dst
 	*out = amba.PartialState{
-		ReqMask: p.remoteReqMask,
-		Req:     p.req.Predict() & p.remoteReqMask,
-		IRQMask: p.remoteIRQMask,
-		IRQ:     p.irq.Predict() & p.remoteIRQMask,
-		// HSPLITx lines are pulses; last-value prediction of a raised
-		// line would hold it high forever, so predict all-low
-		// (Split 0) and absorb one rollback per remote split release.
+		ReqMask:   p.remoteReqMask,
+		Req:       p.req.Predict() & p.remoteReqMask,
+		IRQMask:   p.remoteIRQMask,
+		IRQ:       p.irq.Predict() & p.remoteIRQMask,
 		SplitMask: p.remoteSplitMask,
 	}
+	// HSPLITx lines are one-cycle pulses, so last-value prediction
+	// cannot serve them: the remote SPLIT slaves' reply models run the
+	// release countdowns. A SPLIT-capable slave without a reply model
+	// is predicted all-low, costing one rollback per release.
+	for _, i := range p.replySlaves {
+		out.Split |= p.replies[i].Split()
+	}
+	out.Split &= p.remoteSplitMask
 
 	grant := p.b.Grant()
 	if !p.b.MasterLocal(grant) {
 		out.HasAP = true
-		if p.lastValid && !p.lastFull.Reply.Ready {
-			// Wait state: the remote master holds its address phase.
-			out.AP = p.lastFull.AP
-		} else {
+		couple := p.coupleReq
+		switch {
+		case p.lastValid && !p.lastFull.Reply.Ready:
+			// A wait state holds the address phase, except that the
+			// first cycle of a two-cycle RETRY, SPLIT or ERROR reply
+			// cancels the owner's next beat with IDLE. The IDLE says
+			// nothing about its request.
+			if p.lastFull.Reply.Resp == amba.RespOkay || !p.pendingDPValid || p.pendingDPMaster != grant {
+				out.AP = p.lastFull.AP
+			} else {
+				couple = false
+			}
+		case p.b.SplitMasked()&(1<<uint(grant)) != 0:
+			// A split-masked master presents IDLE until released,
+			// still requesting the bus.
+			couple = false
+		default:
 			ap, ok := p.trackers[grant].Predict()
 			if !ok {
 				*out = amba.PartialState{}
@@ -161,7 +204,7 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 			}
 			out.AP = ap
 		}
-		if p.coupleReq {
+		if couple {
 			bit := uint32(1) << uint(grant)
 			if out.AP.Trans != amba.TransIdle {
 				out.Req |= bit & p.remoteReqMask
@@ -188,13 +231,15 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 				*out = amba.PartialState{}
 				return DeclineReadData
 			}
-			wm := p.waits[dpSlave]
-			if wm == nil {
+			if wm := p.waits[dpSlave]; wm != nil {
+				out.Reply = amba.SlaveReply{Ready: wm.Predict(), Resp: amba.RespOkay}
+			} else if rm := p.replies[dpSlave]; rm != nil {
+				out.Reply = rm.Predict()
+			} else {
 				*out = amba.PartialState{}
 				return DeclineNoModel
 			}
 			out.HasReply = true
-			out.Reply = amba.SlaveReply{Ready: wm.Predict(), Resp: amba.RespOkay}
 		}
 	}
 	return DeclineNone
@@ -207,24 +252,39 @@ func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialSta
 	p.req.Observe(remote.Req & p.remoteReqMask)
 	p.irq.Observe(remote.IRQ & p.remoteIRQMask)
 
-	// Address-phase progression carries information only on ready
-	// cycles; during wait states the value is held.
-	if remote.HasAP && full.Reply.Ready {
-		p.trackers[full.Grant].Observe(remote.AP)
-	}
-
 	// The bus has already committed, so its DataPhase() now describes
 	// the NEXT cycle. The reply just observed belongs to the cycle that
 	// ended; use the data phase stashed before the commit.
+	if full.Reply.Ready {
+		// Address-phase progression carries information only on ready
+		// cycles; during wait states the value is held. A RETRY or
+		// SPLIT completing here sends the failed beat's master back to
+		// re-issue it. A master that loses the grant here rebuilds its
+		// burst's remaining beats; the grant moves only on ready edges,
+		// so the master granted this cycle is the only one that can.
+		if r := full.Reply.Resp; (r == amba.RespRetry || r == amba.RespSplit) && p.pendingDPValid {
+			if t := p.trackers[p.pendingDPMaster]; t != nil {
+				t.Reissue()
+			}
+		}
+		if remote.HasAP {
+			t := p.trackers[full.Grant]
+			t.Observe(remote.AP)
+			if p.b.Grant() != full.Grant {
+				t.LoseGrant()
+			}
+		}
+	}
+	for _, i := range p.replySlaves {
+		p.replies[i].Observe(p.pendingDPValid && p.pendingDPSlave == i, full.Reply, p.pendingDPMaster)
+	}
 	if p.pendingDPValid {
 		if p.pendingDPSlave == bus.DefaultSlaveIndex {
 			if !p.ownsDefault {
 				p.defErr.Observe(full.Reply)
 			}
-		} else if !p.b.SlaveLocal(p.pendingDPSlave) {
-			if wm := p.waits[p.pendingDPSlave]; wm != nil {
-				wm.Observe(full.Reply.Ready)
-			}
+		} else if wm := p.waits[p.pendingDPSlave]; wm != nil {
+			wm.Observe(full.Reply.Ready)
 		}
 	}
 
@@ -255,11 +315,12 @@ func (p *remotePredictor) StashDataPhase() {
 // exactly as it is now, provided only idle cycles are observed in the
 // meantime. A data phase in flight or a wait state pins the horizon to
 // 0 (response predictions evolve per cycle); otherwise the only
-// idle-time evolution is the granted remote master's gap model, whose
-// remaining span bounds the horizon. The engine uses this bound both
-// to keep per-cycle leader-choice decisions (and their decline
-// accounting) replicable across a batched stretch and to guarantee a
-// leader's run-ahead predictions stay constant.
+// idle-time evolution is the granted remote master's gap model and
+// the SPLIT release countdowns, whose remaining spans bound the
+// horizon. The engine uses this bound both to keep per-cycle
+// leader-choice decisions (and their decline accounting) replicable
+// across a batched stretch and to guarantee a leader's run-ahead
+// predictions stay constant.
 func (p *remotePredictor) PredictStableFor() int64 {
 	if v, _, _, _ := p.b.DataPhase(); v {
 		return 0
@@ -267,10 +328,14 @@ func (p *remotePredictor) PredictStableFor() int64 {
 	if p.lastValid && !p.lastFull.Reply.Ready {
 		return 0
 	}
+	n := predict.Unbounded
 	if t := p.trackers[p.b.Grant()]; t != nil {
-		return t.IdleStableFor()
+		n = t.IdleStableFor()
 	}
-	return predict.Unbounded
+	for _, i := range p.replySlaves {
+		n = min(n, p.replies[i].IdleStableFor())
+	}
+	return n
 }
 
 // SkipIdle advances the predictor across n committed idle cycles in
@@ -278,12 +343,15 @@ func (p *remotePredictor) PredictStableFor() int64 {
 // contribution the stretch repeats: the request/IRQ last-value
 // predictors and the wait models are already at fixed points, the
 // last-seen full state is unchanged, and only the granted remote
-// master's burst tracker accumulates idle time. Callers must have
-// proven the stretch (Domain.QuiescentCycles plus PredictStableFor or
-// an entry-run check) before skipping.
+// master's burst tracker and the reply models' release countdowns
+// advance. Callers must have proven the stretch (Domain.QuiescentCycles
+// plus PredictStableFor or an entry-run check) before skipping.
 func (p *remotePredictor) SkipIdle(n int64) {
 	if t := p.trackers[p.b.Grant()]; t != nil {
 		t.SkipIdle(n)
+	}
+	for _, i := range p.replySlaves {
+		p.replies[i].SkipIdle(n)
 	}
 }
 
@@ -303,6 +371,9 @@ func (p *remotePredictor) Store() {
 			w.Store()
 		}
 	}
+	for _, i := range p.replySlaves {
+		p.replies[i].Store()
+	}
 	p.saved = p.predFrame
 }
 
@@ -319,6 +390,9 @@ func (p *remotePredictor) Restore() {
 		if w != nil {
 			w.Restore()
 		}
+	}
+	for _, i := range p.replySlaves {
+		p.replies[i].Restore()
 	}
 	p.predFrame = p.saved
 }

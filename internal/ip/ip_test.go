@@ -424,10 +424,6 @@ func TestMemoryPokePeek(t *testing.T) {
 	if got := mem.Peek(0x101); got != 0xBE {
 		t.Fatalf("Peek byte = %02x", got)
 	}
-	mem.Poke(0x102, 0x55)
-	if got := mem.PeekWord(0x100); got != 0xDE55BEEF {
-		t.Fatalf("after Poke = %08x", uint32(got))
-	}
 }
 
 func TestXferBeats(t *testing.T) {

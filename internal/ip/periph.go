@@ -64,9 +64,6 @@ func (p *IRQPeriph) IRQ() uint32 {
 	return 0
 }
 
-// Raised returns the number of interrupts raised so far.
-func (p *IRQPeriph) Raised() int64 { return p.raised }
-
 // Tick implements sim.Clocked: the countdown runs on the target clock.
 func (p *IRQPeriph) Tick(int64) {
 	if p.countdown < 0 {

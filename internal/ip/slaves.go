@@ -107,13 +107,6 @@ func (s *Memory) pageFor(a amba.Addr, create bool) *memPage {
 	return p
 }
 
-// Poke writes one byte directly, for test setup.
-func (s *Memory) Poke(a amba.Addr, b byte) {
-	p := s.pageFor(a, true)
-	s.stash(a, p)
-	p.data[a&pageMask] = b
-}
-
 // Peek reads one byte directly, for test inspection.
 func (s *Memory) Peek(a amba.Addr) byte {
 	p := s.pageFor(a, false)
@@ -231,13 +224,6 @@ func (s *Memory) Commit(ready bool) {
 		s.inBurst = true
 	}
 }
-
-// TickIdle informs the memory that a cycle passed with no beat addressed
-// to it, ending any back-to-back sequence. The bus does not call Commit
-// on idle slaves, so the engine (or the memory's own heuristic) resets
-// burst affinity lazily: the simplest correct model keeps inBurst sticky
-// within a data-phase run; Reset clears it.
-func (s *Memory) TickIdle() { s.inBurst = false }
 
 // Store implements rollback.Component: it shadows the control state
 // and seals the copy-on-write interval in O(1).
@@ -384,6 +370,9 @@ func NewRetryMemory(name string, waits, retryEvery int) *RetryMemory {
 // Retries returns how many RETRY sequences were issued.
 func (r *RetryMemory) Retries() int64 { return r.retries }
 
+// Params returns the constructor's parameters.
+func (r *RetryMemory) Params() (waits, retryEvery int) { return r.firstWait, r.retryEvery }
+
 // Respond implements bus.Slave.
 func (r *RetryMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 	if r.retryPhase == 1 {
@@ -461,6 +450,11 @@ func NewSplitMemory(name string, waits, splitEvery, releaseAfter int) *SplitMemo
 
 // Splits returns how many SPLIT responses were issued.
 func (s *SplitMemory) Splits() int64 { return s.splits }
+
+// Params returns the constructor's parameters.
+func (s *SplitMemory) Params() (waits, splitEvery, releaseAfter int) {
+	return s.firstWait, s.splitEvery, s.releaseAfter
+}
 
 // Respond implements bus.Slave.
 func (s *SplitMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {

@@ -259,22 +259,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.withLabels(values).c
 }
 
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	f := r.register(name, help, KindGauge)
-	f.labelNames = validLabelNames(name, labelNames)
-	return &GaugeVec{f: f}
-}
-
-// With returns the gauge for the given label values, creating it on
-// first use.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.withLabels(values).g
-}
-
 // withLabels resolves (or creates) the series for one label-value set.
 // A new series gets its counter or gauge under the family lock, so
 // concurrent first uses share one instrument and write never sees a
@@ -289,13 +273,7 @@ func (f *family) withLabels(values []string) *instrument {
 	if ins, ok := f.byLabels[key]; ok {
 		return ins
 	}
-	ins := &instrument{labels: key}
-	switch f.kind {
-	case KindCounter:
-		ins.c = &Counter{}
-	case KindGauge:
-		ins.g = &Gauge{}
-	}
+	ins := &instrument{labels: key, c: &Counter{}}
 	f.byLabels[key] = ins
 	f.series = append(f.series, ins)
 	sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })

@@ -3,6 +3,7 @@ package service
 import (
 	"time"
 
+	"coemu/internal/amba"
 	"coemu/internal/channel"
 	"coemu/internal/core"
 	"coemu/internal/metrics"
@@ -37,6 +38,7 @@ type Metrics struct {
 	engineChecks       *metrics.Counter
 	engineMispredicts  *metrics.Counter
 	engineInjected     *metrics.Counter
+	engineOrganic      *metrics.CounterVec
 	engineDeclines     *metrics.CounterVec
 	rollbackDepth      *metrics.Histogram
 	transitionLength   *metrics.Histogram
@@ -100,6 +102,8 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 			"Failed prediction checks (organic plus injected) across completed runs."),
 		engineInjected: reg.NewCounter("coemu_engine_injected_mispredicts_total",
 			"Mispredictions forced by the accuracy fault injector."),
+		engineOrganic: reg.NewCounterVec("coemu_engine_organic_mispredicts_total",
+			"Organic mispredictions across completed runs, by the first signal class that missed; the series sum to mispredicts minus injected.", "signal"),
 		engineDeclines: reg.NewCounterVec("coemu_engine_declines_total",
 			"Predictor declines across completed runs, by reason.", "reason"),
 		rollbackDepth: reg.NewHistogram("coemu_engine_rollback_depth_cycles",
@@ -177,6 +181,9 @@ func (m *Metrics) observeReport(rep *core.Report) {
 	m.engineChecks.Add(st.ChecksTotal)
 	m.engineMispredicts.Add(st.Mispredicts)
 	m.engineInjected.Add(st.Injected)
+	for sig, n := range st.MispredictsBySignal {
+		m.engineOrganic.With(amba.Signal(sig).String()).Add(n)
+	}
 	for reason, n := range st.Declines {
 		m.engineDeclines.With(string(reason)).Add(n)
 	}

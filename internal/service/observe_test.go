@@ -333,3 +333,63 @@ func TestFaultsInjectedCounter(t *testing.T) {
 		t.Fatalf("faults_injected=%d worker_panics=%d, want 1 and 1", c.FaultsInjected, c.WorkerPanics)
 	}
 }
+
+// TestOrganicMispredictMetricIdentity checks the labeled organic
+// misprediction family against its accounting identity: its series sum
+// to coemu_engine_mispredicts_total minus
+// coemu_engine_injected_mispredicts_total, on a run with both organic
+// (jitter memory) and injected (pinned accuracy) misses.
+func TestOrganicMispredictMetricIdentity(t *testing.T) {
+	reg := metrics.NewRegistry()
+	svc := newTestService(t, Options{Workers: 1, Metrics: NewMetrics(reg)})
+	s, err := spec.Parse([]byte(`{
+	  "design": {
+	    "masters": [{"name": "dma", "domain": "acc",
+	      "generator": {"kind": "stream", "window": {"lo": 0, "hi": "0x8000"},
+	                    "write": true, "burst": "INCR8"}}],
+	    "slaves": [{"name": "mem", "domain": "sim", "kind": "jitter",
+	      "region": {"lo": 0, "hi": "0x10000"}, "base": 1, "spread": 2, "seed": 7,
+	      "wait_first": 1, "wait_next": 1}]
+	  },
+	  "run": {"mode": "als", "cycles": 5000, "accuracy": 0.9}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := svc.Submit(s, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.ParseExposition(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]float64{}
+	series := 0
+	for _, f := range fams {
+		for _, smp := range f.Samples {
+			sums[f.Name] += smp.Value
+		}
+		if f.Name == "coemu_engine_organic_mispredicts_total" {
+			series = len(f.Samples)
+		}
+	}
+	organic := sums["coemu_engine_organic_mispredicts_total"]
+	total, injected := sums["coemu_engine_mispredicts_total"], sums["coemu_engine_injected_mispredicts_total"]
+	if organic == 0 || injected == 0 {
+		t.Fatalf("organic %v, injected %v: the run must produce both kinds of miss", organic, injected)
+	}
+	if organic != total-injected {
+		t.Fatalf("organic series sum to %v, mispredicts %v - injected %v = %v", organic, total, injected, total-injected)
+	}
+	if series != 9 {
+		t.Fatalf("organic family has %d series, want one per signal class (9)", series)
+	}
+}

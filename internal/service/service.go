@@ -460,13 +460,6 @@ func (s *Service) Jobs() []Info {
 	return out
 }
 
-// JobCount returns how many jobs are currently known (retained).
-func (s *Service) JobCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
 // Cancel cancels a job by ID. Completed jobs are unaffected.
 func (s *Service) Cancel(id string) error {
 	job, err := s.Job(id)

@@ -352,8 +352,9 @@ func init() {
 			return nil
 		},
 		func(s Slave) Slave {
+			// The predictor models the slave exactly from its own
+			// parameters, so the wait profile is dropped.
 			out := baseSlave(s)
-			out.WaitFirst, out.WaitNext = s.WaitFirst, s.WaitNext
 			out.Waits, out.RetryEvery = s.Waits, s.RetryEvery
 			return out
 		},
@@ -381,8 +382,9 @@ func init() {
 			return nil
 		},
 		func(s Slave) Slave {
+			// The predictor models the slave exactly from its own
+			// parameters, so the wait profile is dropped.
 			out := baseSlave(s)
-			out.WaitFirst, out.WaitNext = s.WaitFirst, s.WaitNext
 			out.Waits, out.SplitEvery, out.ReleaseAfter = s.Waits, s.SplitEvery, s.ReleaseAfter
 			return out
 		},

@@ -109,7 +109,8 @@ type Master struct {
 
 // Slave declares one bus slave by registry kind. wait_first/wait_next
 // double as the remote-side response-predictor profile, exactly like
-// coemu.SlaveSpec.WaitFirst/WaitNext.
+// coemu.SlaveSpec.WaitFirst/WaitNext; retry and split slaves are
+// predicted by an exact reply model instead.
 type Slave struct {
 	Name   string `json:"name"`
 	Domain string `json:"domain"` // "sim" or "acc"
@@ -118,8 +119,9 @@ type Slave struct {
 	// "retry", "split", "error" or "irq" (see SlaveKinds).
 	Kind string `json:"kind"`
 
-	// memory/jitter/retry/split: deterministic wait profile. For
-	// "memory" these are also the constructor's wait parameters.
+	// memory/jitter/irq: deterministic wait profile. For "memory"
+	// these are also the constructor's wait parameters. retry/split
+	// accept and drop them.
 	WaitFirst int `json:"wait_first,omitempty"`
 	WaitNext  int `json:"wait_next,omitempty"`
 

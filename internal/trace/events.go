@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"coemu/internal/amba"
 )
 
 // EventKind classifies one engine trace event. The tracer records the
@@ -27,8 +29,8 @@ const (
 	// EvRollForth is the leader's replay span after a rollback (N
 	// re-executed cycles); Domain is the leader.
 	EvRollForth
-	// EvMispredict marks one checked prediction that failed; Arg is 1
-	// when the miss was fault-injected, 0 when organic.
+	// EvMispredict marks one checked prediction that failed; Arg packs
+	// the injected flag and the missed signal class (MispredictArg).
 	EvMispredict
 	// EvRollback marks a leader state restore; Arg is the rollback
 	// depth (cycles discarded and replayed).
@@ -94,13 +96,29 @@ func (k EventKind) String() string {
 // target-cycle position the event belongs to, N the span length in
 // cycles (0 for instant events), Domain the acting domain (0 sim,
 // 1 acc, 255 none) and Arg a kind-specific payload (rollback depth,
-// flush words, injected flag).
+// flush words, mispredict class and injected flag).
 type Event struct {
 	Cycle  int64
 	N      int64
 	Kind   EventKind
 	Domain uint8
 	Arg    int64
+}
+
+// MispredictArg packs an EvMispredict payload: bit 0 is 1 when the
+// miss was fault-injected, and an organic miss carries its signal class
+// in the bits above.
+func MispredictArg(sig amba.Signal, injected bool) int64 {
+	if injected {
+		return 1
+	}
+	return int64(sig) << 1
+}
+
+// MispredictInfo unpacks an EvMispredict payload; sig is meaningful
+// only when injected is false.
+func MispredictInfo(arg int64) (sig amba.Signal, injected bool) {
+	return amba.Signal(arg >> 1), arg&1 == 1
 }
 
 // NoDomain is the Event.Domain value for events not tied to a domain.
@@ -179,13 +197,16 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// eventJSON is the JSON projection of one event.
+// eventJSON is the JSON projection of one event. A mispredict's Arg
+// is exported unpacked: 1 when injected, else 0 with the missed signal
+// class in Signal.
 type eventJSON struct {
 	Cycle  int64  `json:"cycle"`
 	N      int64  `json:"n,omitempty"`
 	Kind   string `json:"kind"`
 	Domain string `json:"domain,omitempty"`
 	Arg    int64  `json:"arg,omitempty"`
+	Signal string `json:"signal,omitempty"`
 }
 
 // domainName renders an event's domain for export.
@@ -214,6 +235,14 @@ func WriteEventsJSON(w io.Writer, events []Event, dropped int64) error {
 			Kind:   ev.Kind.String(),
 			Domain: domainName(ev.Domain),
 			Arg:    ev.Arg,
+		}
+		if ev.Kind == EvMispredict {
+			sig, injected := MispredictInfo(ev.Arg)
+			if injected {
+				doc.Events[i].Arg = 1
+			} else {
+				doc.Events[i].Arg, doc.Events[i].Signal = 0, sig.String()
+			}
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -317,7 +346,11 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			addArg("cycles", ev.N)
 		case EvMispredict:
 			s.Ph, s.Tid, s.S = "i", tidFollowUp, "t"
-			addArg("injected", ev.Arg == 1)
+			sig, injected := MispredictInfo(ev.Arg)
+			addArg("injected", injected)
+			if !injected {
+				addArg("signal", sig.String())
+			}
 		case EvRollback:
 			s.Ph, s.Tid, s.S = "i", tidRollback, "t"
 			addArg("depth", ev.Arg)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"coemu/internal/amba"
 )
 
 func TestRecorderRingOrderAndWrap(t *testing.T) {
@@ -47,8 +49,9 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 func TestWriteEventsJSON(t *testing.T) {
 	events := []Event{
 		{Cycle: 10, N: 5, Kind: EvRunAhead, Domain: 1},
-		{Cycle: 15, Kind: EvMispredict, Domain: 0, Arg: 1},
+		{Cycle: 15, Kind: EvMispredict, Domain: 0, Arg: MispredictArg(amba.SigResp, true)},
 		{Cycle: 15, Kind: EvRollback, Domain: 1, Arg: 3},
+		{Cycle: 16, Kind: EvMispredict, Domain: 0, Arg: MispredictArg(amba.SigSplit, false)},
 	}
 	var b strings.Builder
 	if err := WriteEventsJSON(&b, events, 7); err != nil {
@@ -62,12 +65,13 @@ func TestWriteEventsJSON(t *testing.T) {
 			Kind   string `json:"kind"`
 			Domain string `json:"domain"`
 			Arg    int64  `json:"arg"`
+			Signal string `json:"signal"`
 		} `json:"events"`
 	}
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	if doc.Dropped != 7 || len(doc.Events) != 3 {
+	if doc.Dropped != 7 || len(doc.Events) != 4 {
 		t.Fatalf("decoded %+v", doc)
 	}
 	if doc.Events[0].Kind != "run_ahead" || doc.Events[0].Domain != "acc" || doc.Events[0].N != 5 {
@@ -75,6 +79,14 @@ func TestWriteEventsJSON(t *testing.T) {
 	}
 	if doc.Events[2].Kind != "rollback" || doc.Events[2].Arg != 3 {
 		t.Errorf("rollback event decoded as %+v", doc.Events[2])
+	}
+	// A mispredict's arg stays the injected flag; an organic miss names
+	// its signal class instead.
+	if ev := doc.Events[1]; ev.Kind != "mispredict" || ev.Arg != 1 || ev.Signal != "" {
+		t.Errorf("injected mispredict decoded as %+v", ev)
+	}
+	if ev := doc.Events[3]; ev.Kind != "mispredict" || ev.Arg != 0 || ev.Signal != "hsplit" {
+		t.Errorf("organic mispredict decoded as %+v", ev)
 	}
 }
 
@@ -153,5 +165,25 @@ func TestEventKindNames(t *testing.T) {
 	}
 	if !strings.HasPrefix(EventKind(200).String(), "EventKind(") {
 		t.Error("unknown kind should render as EventKind(n)")
+	}
+}
+
+func TestMispredictArgRoundTrip(t *testing.T) {
+	if arg := MispredictArg(amba.SigResp, true); arg != 1 {
+		t.Errorf("injected arg = %d, want 1", arg)
+	}
+	for s := amba.Signal(0); s < amba.NumSignals; s++ {
+		got, injected := MispredictInfo(MispredictArg(s, false))
+		if injected || got != s {
+			t.Errorf("organic %v round-trips as (%v, %v)", s, got, injected)
+		}
+	}
+	var b strings.Builder
+	events := []Event{{Kind: EvMispredict, Arg: MispredictArg(amba.SigSplit, false)}}
+	if err := WriteChromeTrace(&b, events); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `"signal":"hsplit"`) {
+		t.Errorf("chrome trace lacks the signal class:\n%s", b.String())
 	}
 }

@@ -164,7 +164,6 @@ var exampleDesigns = map[string]struct {
 						Region:       coemu.Region{Lo: 0, Hi: 0x10000},
 						New:          func() coemu.Slave { return coemu.NewSplitMemory("dramc", 1, 4, 12) },
 						SplitCapable: true,
-						WaitFirst:    1, WaitNext: 1,
 					},
 					{
 						Name: "sram", Domain: coemu.AccDomain,
