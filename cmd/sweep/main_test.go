@@ -8,9 +8,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"coemu"
 	"coemu/internal/service"
 	"coemu/internal/spec"
 	"coemu/internal/sweepclient"
@@ -21,8 +21,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// testSpec runs a small stream design; testGrid sweeps the same design
-// over six points, so a two-daemon fleet gets a shard on each.
+// testGrid sweeps a small stream design over six points, so a
+// two-daemon fleet gets a shard on each.
 const (
 	testDesign = `"design": {
 	  "masters": [{"name": "dma", "domain": "acc",
@@ -31,7 +31,6 @@ const (
 	  "slaves": [{"name": "mem", "domain": "sim", "kind": "sram",
 	    "region": {"lo": 0, "hi": "0x20000"}}]
 	}`
-	testSpec = `{"name": "sweep-test", ` + testDesign + `, "run": {"mode": "als", "cycles": 4000}}`
 	testGrid = `{"name": "grid-test", ` + testDesign + `,
 	  "run": {"mode": "als", "cycles": 3000},
 	  "sweep": {"axes": [
@@ -107,54 +106,88 @@ func startDaemon(t *testing.T) string {
 	return srv.URL
 }
 
-// fleetRunner builds a remoteRunner over a fresh fleet of n daemons.
-func fleetRunner(t *testing.T, base *coemu.Spec, n int) *remoteRunner {
-	t.Helper()
-	fleet, err := sweepclient.NewFleet(fleetOptions(startDaemons(t, n), sweepclient.DefaultRetries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fleet.Close)
-	return &remoteRunner{base: base, fleet: fleet}
+// paperDocs are the checked-in paper sweeps. Each sits beside the CSV
+// it must reproduce byte for byte: the output of the hand-coded DES
+// CSV mode that -csv replaced.
+var paperDocs = []string{"des_accuracy", "des_lob"}
+
+func paperPath(name, ext string) string {
+	return filepath.Join("..", "..", "examples", "paper", name+ext)
 }
 
-func TestRemoteRunnerMatchesLocal(t *testing.T) {
-	s, err := coemu.ParseSpec([]byte(testSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, cfg, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := desBase{design: func() coemu.Design { return d }, cfg: cfg, cycles: s.Run.Cycles}
-
-	// A small accuracy sweep, shaped like writeDESAccuracy's.
-	points := []desPoint{{mode: coemu.Conservative}}
-	for _, p := range []float64{1, 0.9, 0.5} {
-		points = append(points, desPoint{mode: sweepMode(base), setAccuracy: true,
-			accuracy: p, faultSeed: 12345, rollbackVars: 1000})
-	}
-	want, err := (&localRunner{base: base}).runPoints(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want[2].rollbacks == 0 {
-		t.Fatal("accuracy 0.9 point never rolled back; the sweep exercises nothing")
-	}
-
-	for _, members := range []int{1, 2} {
-		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
-			got, err := fleetRunner(t, s, members).runPoints(points)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if *got[i] != *want[i] {
-					t.Fatalf("point %d: remote %+v, local %+v", i, *got[i], *want[i])
+func TestPaperCSVsMatchCheckedIn(t *testing.T) {
+	defer func(j int) { jobs = j }(jobs)
+	for _, name := range paperDocs {
+		want, err := os.ReadFile(paperPath(name, ".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/local/j=%d", name, j), func(t *testing.T) {
+				jobs = j
+				var got bytes.Buffer
+				if err := runGrid(paperPath(name, ".json"), nil, sweepclient.DefaultRetries, "", true, &got); err != nil {
+					t.Fatal(err)
 				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("local CSV differs from %s.csv:\ngot:\n%s\nwant:\n%s", name, got.Bytes(), want)
+				}
+			})
+		}
+		for _, members := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/members=%d", name, members), func(t *testing.T) {
+				var got bytes.Buffer
+				if err := runGrid(paperPath(name, ".json"), startDaemons(t, members), sweepclient.DefaultRetries, "", true, &got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("remote CSV differs from %s.csv:\ngot:\n%s\nwant:\n%s", name, got.Bytes(), want)
+				}
+			})
+		}
+	}
+}
+
+// TestPaperAccuracySweepRollsBack guards the checked-in accuracy CSV
+// itself: its 0.9 point must roll back, or the sweep exercises nothing.
+func TestPaperAccuracySweepRollsBack(t *testing.T) {
+	data, err := os.ReadFile(paperPath("des_accuracy", ".csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range strings.Split(string(data), "\n") {
+		if cols := strings.Split(row, ","); cols[0] == "0.90" {
+			if len(cols) != 7 || cols[4] == "0" {
+				t.Fatalf("accuracy 0.9 row %q never rolled back; the sweep exercises nothing", row)
 			}
-		})
+			return
+		}
+	}
+	t.Fatal("des_accuracy.csv has no 0.90 row")
+}
+
+func TestCSVRejectsUnsupportedField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.json")
+	doc := `{"name": "gap-test", ` + testDesign + `,
+	  "run": {"mode": "als", "cycles": 3000},
+	  "sweep": {"axes": [
+	    {"field": "run.accuracy", "values": [1, 0.9]},
+	    {"field": "design.masters[0].generator.gap", "values": [0, 2]}
+	  ]}}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := runGrid(path, nil, sweepclient.DefaultRetries, "", true, &out)
+	if err == nil || !strings.Contains(err.Error(), `"design.masters[0].generator.gap"`) {
+		t.Fatalf("unsupported swept field: got error %v, want one naming the field", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected sweep still wrote %q", out.Bytes())
+	}
+	// The same document is a valid NDJSON sweep.
+	if err := runGrid(path, nil, sweepclient.DefaultRetries, "", false, &out); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -164,7 +197,7 @@ func TestRemoteGridMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var local bytes.Buffer
-	if err := runGrid(path, nil, sweepclient.DefaultRetries, "", &local); err != nil {
+	if err := runGrid(path, nil, sweepclient.DefaultRetries, "", false, &local); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,7 +207,7 @@ func TestRemoteGridMatchesLocal(t *testing.T) {
 	for _, members := range []int{1, 2} {
 		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
 			var remote bytes.Buffer
-			if err := runGrid(path, startDaemons(t, members), sweepclient.DefaultRetries, "", &remote); err != nil {
+			if err := runGrid(path, startDaemons(t, members), sweepclient.DefaultRetries, "", false, &remote); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(remote.Bytes(), local.Bytes()) {

@@ -8,14 +8,22 @@
 //	tables -exp sla        # §6 SLA claims
 //	tables -exp headline   # abstract's 1500% claim
 //	tables -exp des        # executable-engine accuracy sweep (DES)
+//	tables -out results/   # writes table2.csv and figure4.csv
+//
+// The DES experiment runs the accuracy sweep document embedded from
+// examples/paper/des_accuracy.json, the same document
+// `sweep -grid ... -csv` runs locally or on a coemud fleet.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"coemu"
+	"coemu/examples/paper"
 	"coemu/internal/device"
 	"coemu/internal/perfmodel"
 	"coemu/internal/vclock"
@@ -23,9 +31,15 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: channel|table2|figure4|sla|headline|des|all")
-	cycles := flag.Int64("cycles", 20000, "target cycles per DES run")
+	out := flag.String("out", "", "write the analytic Table 2 and Figure 4 as table2.csv and figure4.csv into this directory instead of printing")
 	flag.Parse()
 
+	if *out != "" {
+		if err := writeCSVs(*out); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	switch *exp {
 	case "channel":
 		channelExp()
@@ -38,7 +52,7 @@ func main() {
 	case "headline":
 		headlineExp()
 	case "des":
-		desExp(*cycles)
+		desExp()
 	case "all":
 		channelExp()
 		fmt.Println()
@@ -50,7 +64,7 @@ func main() {
 		fmt.Println()
 		headlineExp()
 		fmt.Println()
-		desExp(*cycles)
+		desExp()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -118,9 +132,6 @@ func figure4Exp() {
 		fmt.Println()
 	}
 	fmt.Println("\nconventional baselines (horizontal lines in the figure):")
-	for _, s := range series[:1] {
-		_ = s
-	}
 	fmt.Printf("  sim=100k:  %.1f kcyc/s (paper: 28.8)\n", series[0].Conventional/1e3)
 	fmt.Printf("  sim=1000k: %.1f kcyc/s (paper: 38.9)\n", series[2].Conventional/1e3)
 }
@@ -143,52 +154,99 @@ func headlineExp() {
 		coemu.HeadlineGainPercent())
 }
 
-// desExp sweeps the executable engine over the accuracy grid using the
-// canonical ALS configuration (streaming RTL master in the accelerator,
-// TL memory in the simulator) with injected fault rates, demonstrating
-// that the discrete-event system reproduces the analytic shape.
-func desExp(cycles int64) {
+// desExp runs the embedded accuracy sweep document on the executable
+// engine — the canonical ALS configuration (streaming RTL master in the
+// accelerator, TL memory in the simulator) with injected fault rates —
+// demonstrating that the discrete-event system reproduces the analytic
+// shape. The document's base spec is the conventional baseline.
+func desExp() {
 	fmt.Println("== E6: executable engine (DES) accuracy sweep, ALS streaming design ==")
-	design := coemu.Design{
-		Masters: []coemu.MasterSpec{{
-			Name:   "dma",
-			Domain: coemu.AccDomain,
-			NewGen: func() coemu.Generator {
-				return coemu.NewStream(coemu.Window{Lo: 0, Hi: 0x40000}, true,
-					coemu.BurstIncr8, coemu.Size32, 0, 0, 0)
-			},
-		}},
-		Slaves: []coemu.SlaveSpec{{
-			Name:   "mem",
-			Domain: coemu.SimDomain,
-			Region: coemu.Region{Lo: 0, Hi: 0x80000},
-			New:    func() coemu.Slave { return coemu.NewSRAM("mem") },
-		}},
-	}
-	conv, err := coemu.Run(design, coemu.Config{Mode: coemu.Conservative}, cycles)
+	ss, err := paper.Load("des_accuracy.json")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
+	points, err := ss.Expand()
+	if err != nil {
+		fatal(err)
+	}
+	conv := runSpec(&ss.Spec)
 	fmt.Printf("conventional: %.1f kcyc/s (%d channel accesses)\n\n",
 		conv.Perf()/1e3, conv.Channel.TotalAccesses())
 	fmt.Println(" p      perf       ratio  transitions  rollbacks  accesses  words")
-	for _, p := range []float64{1, 0.99, 0.96, 0.9, 0.8, 0.6, 0.3, 0.1} {
-		rep, err := coemu.Run(design, coemu.Config{
-			Mode: coemu.ALS, Accuracy: p, FaultSeed: 12345, RollbackVars: 1000,
-		}, cycles)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	var organic *coemu.Report
+	for _, sp := range points {
+		rep := runSpec(sp)
 		fmt.Printf("%5.2f  %8.1fk  %6.2f  %11d  %9d  %8d  %6d\n",
-			p, rep.Perf()/1e3, rep.Perf()/conv.Perf(),
+			sp.Run.Accuracy, rep.Perf()/1e3, rep.Perf()/conv.Perf(),
 			rep.Stats.Transitions, rep.Stats.Rollbacks,
 			rep.Channel.TotalAccesses(), rep.Channel.TotalWords())
+		if sp.Run.Accuracy == 1 {
+			organic = rep
+		}
+	}
+	if organic == nil {
+		return
 	}
 	fmt.Println("\nper-cycle cost breakdown at p=1 (compare Table 2 row 1):")
-	rep, _ := coemu.Run(design, coemu.Config{Mode: coemu.ALS, RollbackVars: 1000}, cycles)
-	for _, c := range []vclock.Category{vclock.Sim, vclock.Acc, vclock.Store, vclock.Restore, vclock.Channel} {
-		fmt.Printf("  %-9s %v/cycle\n", c, rep.Ledger.PerCycle(c, rep.Cycles))
+	for _, c := range vclock.Categories() {
+		fmt.Printf("  %-9s %v/cycle\n", c, organic.Ledger.PerCycle(c, organic.Cycles))
 	}
+}
+
+// runSpec compiles and runs one spec in-process, exiting on error.
+func runSpec(sp *coemu.Spec) *coemu.Report {
+	d, cfg, err := sp.Compile()
+	if err != nil {
+		fatal(err)
+	}
+	rep, err := coemu.Run(d, cfg, sp.Run.Cycles)
+	if err != nil {
+		fatal(err)
+	}
+	return rep
+}
+
+// writeCSVs writes the analytic Table 2 (published values alongside)
+// and all four Figure 4 series as CSV files for plotting.
+func writeCSVs(dir string) error {
+	var table2, figure4 strings.Builder
+	fmt.Fprintln(&table2, "p,tsim,tacc,tstore,trestore,tch,perf,ratio,paper_perf,paper_ratio")
+	for _, r := range perfmodel.Table2() {
+		pp := paperTable2[r.P]
+		fmt.Fprintf(&table2, "%.3f,%.3e,%.3e,%.3e,%.3e,%.3e,%.1f,%.3f,%.1f,%.3f\n",
+			r.P, r.Tsim, r.Tacc, r.Tstore, r.Trestore, r.Tch, r.Perf, r.Ratio, pp[0], pp[1])
+	}
+	series := perfmodel.Figure4()
+	fmt.Fprint(&figure4, "p")
+	for _, s := range series {
+		fmt.Fprintf(&figure4, ",%q,%q_conventional", s.Config.Label(), s.Config.Label())
+	}
+	fmt.Fprintln(&figure4)
+	for i, p := range perfmodel.Figure4Accuracies {
+		fmt.Fprintf(&figure4, "%.3f", p)
+		for _, s := range series {
+			fmt.Fprintf(&figure4, ",%.1f,%.1f", s.Rows[i].Perf, s.Conventional)
+		}
+		fmt.Fprintln(&figure4)
+	}
+
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name string
+		body *strings.Builder
+	}{{"table2.csv", &table2}, {"figure4.csv", &figure4}} {
+		path := filepath.Join(dir, f.name)
+		if err := os.WriteFile(path, []byte(f.body.String()), 0o644); err != nil {
+			return err
+		}
+		fmt.Println("wrote", path)
+	}
+	return nil
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

@@ -61,10 +61,6 @@ func TestLaneHelpers(t *testing.T) {
 	if got := laneMask(0x1000, amba.Size32); got != 0xffffffff {
 		t.Errorf("laneMask word = %08x", uint32(got))
 	}
-	w := InsertLanes(0xAABBCCDD, 0x00110000, 0x1002, amba.Size8)
-	if w != 0xAA11CCDD {
-		t.Errorf("InsertLanes = %08x", uint32(w))
-	}
 	if got := ExtractLanes(0xAABBCCDD, 0x1002, amba.Size16); got != 0xAABB0000 {
 		t.Errorf("ExtractLanes = %08x", uint32(got))
 	}

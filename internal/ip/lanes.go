@@ -44,13 +44,6 @@ func laneMask(a amba.Addr, s amba.Size) amba.Word {
 	return m << laneShift(a, s)
 }
 
-// InsertLanes merges the active lanes of src for a transfer at (a, s)
-// into dst and returns the result. Inactive lanes of dst are preserved.
-func InsertLanes(dst, src amba.Word, a amba.Addr, s amba.Size) amba.Word {
-	m := laneMask(a, s)
-	return (dst &^ m) | (src & m)
-}
-
 // ExtractLanes returns the active lanes of w for a transfer at (a, s),
 // with inactive lanes zeroed. The value stays on its lanes (AHB does not
 // re-align narrow data onto lane zero).

@@ -11,8 +11,8 @@
 // — so a restarted daemon, or a sibling process sharing the directory,
 // reuses every previously computed point with zero engine runs.
 // Parameter sweeps (spec.SweepSpec) fan out over the same pool via
-// StartSweep, one job per expanded point, deduplicated like any other
-// submission.
+// StartSweepPoints, one job per expanded point, deduplicated like any
+// other submission.
 //
 // Concurrency model: engine runs are independent, so the pool runs up
 // to Workers of them in parallel (the cmd/sweep -j pattern); all job
@@ -541,7 +541,7 @@ type Counters struct {
 	// canceled while still queued).
 	EngineRuns int64 `json:"engine_runs"`
 
-	// Sweeps counts StartSweep calls; SweepPoints the points they
+	// Sweeps counts StartSweepPoints calls; SweepPoints the points they
 	// expanded to.
 	Sweeps      int64 `json:"sweeps"`
 	SweepPoints int64 `json:"sweep_points"`

@@ -46,7 +46,8 @@ type SweepJob struct {
 	errors    int
 }
 
-// StartSweep expands a sweep document and fans the points out over the
+// StartSweepPoints runs an already-expanded point list (see
+// spec.SweepSpec.Expand) as a sweep, fanning the points out over the
 // worker pool. Points are submitted eagerly (so the pool saturates)
 // and their results are delivered in point order on Results. ctx
 // governs the whole sweep: canceling it abandons every point the way
@@ -56,16 +57,6 @@ type SweepJob struct {
 // Duplicate points — within the sweep or against other traffic —
 // coalesce exactly like duplicate Submit calls: one engine run per
 // distinct canonical hash, the rest served from the cache or store.
-func (s *Service) StartSweep(ctx context.Context, ss *spec.SweepSpec, ephemeral bool) (*SweepJob, error) {
-	points, err := ss.Expand()
-	if err != nil {
-		return nil, err
-	}
-	return s.StartSweepPoints(ctx, points, ephemeral)
-}
-
-// StartSweepPoints runs an already-expanded point list as a sweep; see
-// StartSweep.
 func (s *Service) StartSweepPoints(ctx context.Context, points []*spec.Spec, ephemeral bool) (*SweepJob, error) {
 	if len(points) == 0 {
 		return nil, errors.New("service: sweep has no points")

@@ -48,7 +48,7 @@ func TestSweepFanOutOrderedResults(t *testing.T) {
 		{"field": "run.accuracy", "values": [1, 0.9, 0.5]},
 		{"field": "run.lob_depth", "values": [32, 64]}
 	]}`)
-	sw, err := svc.StartSweep(context.Background(), ss, false)
+	sw, err := svc.StartSweepPoints(context.Background(), mustExpand(t, ss), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSweepDuplicatePointsCoalesce(t *testing.T) {
 	ss := testSweep(t, 1200, `{"axes": [
 		{"field": "run.cycle_batch", "values": [16, 64]}
 	]}`)
-	sw, err := svc.StartSweep(context.Background(), ss, false)
+	sw, err := svc.StartSweepPoints(context.Background(), mustExpand(t, ss), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSweepSurvivesQueueBackpressure(t *testing.T) {
 	ss := testSweep(t, 800, `{"axes": [
 		{"field": "run.lob_depth", "values": [8, 16, 32, 64, 128, 256]}
 	]}`)
-	sw, err := svc.StartSweep(context.Background(), ss, false)
+	sw, err := svc.StartSweepPoints(context.Background(), mustExpand(t, ss), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSweepCancellationAbandonsPoints(t *testing.T) {
 		{"field": "run.lob_depth", "values": [32, 64, 128]}
 	]}`)
 	ctx, cancel := context.WithCancel(context.Background())
-	sw, err := svc.StartSweep(ctx, ss, true)
+	sw, err := svc.StartSweepPoints(ctx, mustExpand(t, ss), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestSweepAfterRestartServedEntirelyFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := newTestService(t, Options{Workers: 4, Store: disk})
-	sw, err := svc.StartSweep(context.Background(), testSweep(t, 900, sweepBlock), false)
+	sw, err := svc.StartSweepPoints(context.Background(), mustExpand(t, testSweep(t, 900, sweepBlock)), false)
 	if err != nil {
 		t.Fatal(err)
 	}

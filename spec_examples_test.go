@@ -2,6 +2,7 @@ package coemu_test
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -276,5 +277,44 @@ func TestExampleSpecHashesStable(t *testing.T) {
 			t.Errorf("%s and %s share a canonical hash", name, other)
 		}
 		seen[h] = name
+	}
+}
+
+// TestPresetAndPaperDocumentsCompile covers the specs that have no
+// example program: the coemu presets and the paper's sweep documents.
+// Every file must parse as a sweep document, expand, and compile at
+// every point.
+func TestPresetAndPaperDocumentsCompile(t *testing.T) {
+	var files []string
+	for _, dir := range []string{"presets", "paper"} {
+		m, err := filepath.Glob(filepath.Join("examples", dir, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m) == 0 {
+			t.Fatalf("no JSON documents under examples/%s", dir)
+		}
+		files = append(files, m...)
+	}
+	for _, path := range files {
+		t.Run(path, func(t *testing.T) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := coemu.ParseSweepSpec(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points, err := ss.Expand()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sp := range points {
+				if _, _, err := sp.Compile(); err != nil {
+					t.Fatalf("%s: %v", sp.Name, err)
+				}
+			}
+		})
 	}
 }
