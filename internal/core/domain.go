@@ -187,8 +187,11 @@ func (d *Domain) Rollback(ledger *vclock.Ledger, vars int, s rollback.Snapshot) 
 	d.reg.Restore(s)
 }
 
-// LocalIRQMask returns the interrupt lines owned by this domain.
-func (d *Domain) LocalIRQMask() uint32 { return d.bus.LocalIRQMask() }
+// Static returns the request and interrupt lines this domain owns: the
+// static configuration a receiver decodes the domain's packets with.
+func (d *Domain) Static() amba.Static {
+	return amba.Static{ReqMask: d.bus.LocalReqMask(), IRQMask: d.bus.LocalIRQMask()}
+}
 
 // QuiescentCycles reports for how many upcoming cycles the domain is
 // guaranteed, from ground truth, to evaluate an inactive contribution

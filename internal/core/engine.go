@@ -202,8 +202,12 @@ const DefaultCycleBatch = 64
 // every design with a waited remote slave. Version 3: exact reply
 // models for remote RETRY and SPLIT slaves, and burst-rebuild
 // prediction for masters that lose the grant or a beat mid-burst,
-// changing the statistics of designs with either.
-const ModelVersion = 3
+// changing the statistics of designs with either. Version 4: compact
+// context-packed LOB entries and conservative/report payloads (amba's
+// PackAfter), and the adaptive run-ahead window, changing the channel
+// statistics of every design and the transitions of every optimistic
+// run.
+const ModelVersion = 4
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -240,10 +244,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxPartialWords is the wire-size ceiling of one amba.PartialState
-// (header + address/control + write data + reply + split word), used to
-// reserve LOB room for the final prediction-less entry.
-const maxPartialWords = 7
+// maxPartialWords is the wire-size ceiling of one packed
+// amba.PartialState in any context, used to reserve LOB room for the
+// final prediction-less entry.
+const maxPartialWords = amba.MaxPackedWords
 
 // minLOBDepth is the smallest usable LOB: the framing word plus one
 // worst-case bare entry. The paper's smallest evaluated depth is 8.
@@ -329,6 +333,15 @@ type Engine struct {
 	// failEWMA estimates the recent misprediction rate for the
 	// adaptive governor.
 	failEWMA float64
+
+	// window is each leader's adaptive run-ahead window in cycles: the
+	// most a transition it leads may commit (step widens it after a
+	// transition without a rollback, narrowWindow shrinks it). Compact
+	// entries let a LOB hold far more cycles than a low-accuracy leader
+	// commits before a miss; the window keeps the run-ahead a rollback
+	// throws away near the span that actually holds. It starts at, and
+	// never exceeds, lob.MaxCycles.
+	window [2]int64
 
 	// Scratch buffers reused across cycles and transitions so the
 	// steady-state loop is allocation-free. packBuf backs every outbound
@@ -426,6 +439,7 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 		cfg.WirePackets = true
 	}
 	e := &Engine{cfg: cfg, lob: NewLOB(cfg.LOBDepth)}
+	e.window = [2]int64{e.lob.MaxCycles(), e.lob.MaxCycles()}
 	e.ch = channel.New(*cfg.Stack, &e.ledger)
 	e.tr = cfg.Transport
 	if e.tr == nil && cfg.WirePackets {
@@ -565,13 +579,13 @@ func (e *Engine) sendPartial(d channel.Dir, p *amba.PartialState) error {
 }
 
 // recvPartial yields the contribution shipped with sendPartial. sent
-// is the value the in-process sender handed over; irqMask is the
-// receiver's static configuration for the sender's interrupt lines.
+// is the value the in-process sender handed over; st is the sender's
+// static configuration.
 // The loopback path returns sent unchanged — the wire codec
 // round-trips every packable state losslessly (design validation
 // bounds masters and IRQ lines to the header's eight bits), which the
 // wire-codec differential test pins end to end.
-func (e *Engine) recvPartial(d channel.Dir, sent *amba.PartialState, irqMask uint32) (*amba.PartialState, error) {
+func (e *Engine) recvPartial(d channel.Dir, sent *amba.PartialState, st amba.Static) (*amba.PartialState, error) {
 	if !e.cfg.WirePackets {
 		return sent, nil
 	}
@@ -579,7 +593,7 @@ func (e *Engine) recvPartial(d channel.Dir, sent *amba.PartialState, irqMask uin
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := amba.Unpack(pkt, irqMask)
+	p, _, err := amba.Unpack(pkt, st)
 	e.tr.Release(pkt)
 	e.rxBuf[d] = p
 	return &e.rxBuf[d], err
@@ -606,11 +620,11 @@ func (e *Engine) conservativeCycle() error {
 		return fmt.Errorf("core: conservative acc->sim: %w", err)
 	}
 
-	simIn, err := e.recvPartial(channel.AccToSim, accOut, accD.LocalIRQMask())
+	simIn, err := e.recvPartial(channel.AccToSim, accOut, accD.Static())
 	if err != nil {
 		return fmt.Errorf("core: conservative sim<-acc: %w", err)
 	}
-	accIn, err := e.recvPartial(channel.SimToAcc, simOut, simD.LocalIRQMask())
+	accIn, err := e.recvPartial(channel.SimToAcc, simOut, simD.Static())
 	if err != nil {
 		return fmt.Errorf("core: conservative acc<-sim: %w", err)
 	}
@@ -833,7 +847,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	e.traceEvent(trace.Event{Cycle: base, Kind: trace.EvStore, Domain: uint8(leader.ID())})
 
 	// The run-ahead entry is reused across iterations (Push copies it
-	// into the buffer); only its size memo needs an explicit reset.
+	// into the buffer).
 	var entry Entry
 	entry.HasPred = true
 	if e.cfg.PaperStrictTransitions {
@@ -852,32 +866,33 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	// predictor declines, the LOB fills, or the budget is reached. The
 	// buffer always keeps room for the final, prediction-less entry
 	// (maxPartialWords), which is deposited after the loop decides to
-	// stop — by then the cycle is already evaluated. e.preds records
-	// the committed predictions for roll-forth; its buffer is reused
-	// across transitions.
+	// stop — by then the cycle is already evaluated. Sizes are charged
+	// relative to the buffer's last entry, exactly as the flush packs
+	// them. e.preds records the committed predictions for roll-forth;
+	// its buffer is reused across transitions.
 	e.preds = e.preds[:0]
 	for {
 		if e.canceled() {
 			return committedLead, errCanceled
 		}
-		entry.words = 0
 		leader.EvaluateInto(&e.ledger, &entry.Out)
 		reason := leader.PredictInto(&entry.Pred)
 		last := false
+		w := 0
 		if reason != DeclineNone {
 			e.stats.Declines[reason]++
 			last = true
 		} else if int64(e.lob.Len()+1) >= budget {
 			last = true // the budgeted final cycle resolves conventionally
-		} else if e.lob.Words()+entry.Words()+maxPartialWords > e.lob.Depth() {
+		} else if w = e.lob.EntryWords(&entry); e.lob.Words()+w+maxPartialWords > e.lob.Depth() {
 			last = true
 		}
 		if last {
 			final := Entry{Out: entry.Out}
-			e.lob.Push(&final)
+			e.lob.Push(&final, e.lob.EntryWords(&final))
 			break
 		}
-		e.lob.Push(&entry)
+		e.lob.Push(&entry, w)
 		e.preds = append(e.preds, entry.Pred)
 		leader.CommitFrom(&entry.Pred)
 		e.stats.RunAheadCycles++
@@ -892,8 +907,11 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			if e.canceled() {
 				return committedLead, errCanceled
 			}
+			// Each repetition follows an identical entry, so all cost
+			// the same.
+			w := e.lob.EntryWords(&entry)
 			for k := int64(0); k < n; k++ {
-				e.lob.Push(&entry)
+				e.lob.Push(&entry, w)
 				e.preds = append(e.preds, entry.Pred)
 			}
 			leader.AdvanceQuiescent(&e.ledger, n)
@@ -916,15 +934,18 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	})
 
 	// Flush (S-2): the whole LOB crosses the channel as one burst,
-	// charged at the packed size (lob.Words() and the packed flush
-	// length agree by construction — the wire-codec differential pins
-	// it). The accounting path replays the entries straight from the
-	// buffer; WirePackets forces the codec round trip.
+	// charged at the packed size. The accounting path replays the
+	// entries straight from the buffer; WirePackets forces the codec
+	// round trip and checks that the packet is exactly as long as the
+	// size charged.
 	entries := e.lob.Entries()
 	got := entries
 	e.ch.Account(dirFrom(leader.ID()), e.lob.Words())
 	if e.cfg.WirePackets {
 		e.packBuf = packFlush(e.packBuf[:0], entries)
+		if len(e.packBuf) != e.lob.Words() {
+			return committedLead, fmt.Errorf("core: flush packed %d words, LOB charged %d", len(e.packBuf), e.lob.Words())
+		}
 		if err := e.tr.Send(dirFrom(leader.ID()), e.packBuf); err != nil {
 			return committedLead, fmt.Errorf("core: flush: %w", err)
 		}
@@ -932,7 +953,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		if err != nil {
 			return committedLead, fmt.Errorf("core: flush: %w", err)
 		}
-		got, err = unpackFlush(e.flushEnt[:0], flushPkt, leader.LocalIRQMask(), lagger.LocalIRQMask())
+		got, err = unpackFlush(e.flushEnt[:0], flushPkt, leader.Static(), lagger.Static())
 		e.flushEnt = got[:0]
 		e.tr.Release(flushPkt)
 		if err != nil {
@@ -1035,6 +1056,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		// the lagger's progress point using recorded predictions (all
 		// correct before i) and the reported actual for cycle i.
 		leader.Rollback(&e.ledger, e.vars(leader), snap)
+		e.narrowWindow(leader.ID(), i)
 		e.stats.Rollbacks++
 		e.stats.Restores++
 		e.rollLen.Add(i + 1)
@@ -1089,7 +1111,9 @@ func (e *Engine) runAheadQuiescent(leader *Domain, entry *Entry, budget int64) i
 	if byBudget := budget - int64(e.lob.Len()) - 1; byBudget < n {
 		n = byBudget
 	}
-	byWords := int64(e.lob.Depth()-maxPartialWords-e.lob.Words()) / int64(entry.Words())
+	// The entry just pushed is the buffer's last, so its size after
+	// itself is what each repetition costs.
+	byWords := int64(e.lob.Depth()-maxPartialWords-e.lob.Words()) / int64(e.lob.EntryWords(entry))
 	if byWords < n {
 		n = byWords
 	}
@@ -1119,7 +1143,7 @@ func (e *Engine) followUpQuiescent(lagger *Domain, got []Entry, i int) int64 {
 		limit = q
 	}
 	n := int64(0)
-	for n < limit && i+1+int(n) < len(got) && sameEntry(&got[i+1+int(n)], entry) {
+	for n < limit && i+1+int(n) < len(got) && got[i+1+int(n)] == *entry {
 		n++
 	}
 	return n
@@ -1129,11 +1153,14 @@ func (e *Engine) followUpQuiescent(lagger *Domain, got []Entry, i int) int64 {
 // idx, plus the lagger's actual contribution) from lagger to leader
 // and returns it as the leader decodes it. The loopback path accounts
 // the access and hands the values through; WirePackets forces the
-// codec round trip.
+// codec round trip and checks the packet against the size charged.
 func (e *Engine) exchangeReport(lagger *Domain, success bool, idx int, actual amba.PartialState) (bool, int, amba.PartialState, error) {
 	e.ch.Account(dirFrom(lagger.ID()), 1+actual.PackedWords())
 	if e.cfg.WirePackets {
 		e.packBuf = packReport(e.packBuf[:0], success, idx, actual)
+		if len(e.packBuf) != 1+actual.PackedWords() {
+			return false, 0, amba.PartialState{}, fmt.Errorf("core: report packed %d words, charged %d", len(e.packBuf), 1+actual.PackedWords())
+		}
 		if err := e.tr.Send(dirFrom(lagger.ID()), e.packBuf); err != nil {
 			return false, 0, amba.PartialState{}, fmt.Errorf("core: report: %w", err)
 		}
@@ -1141,7 +1168,7 @@ func (e *Engine) exchangeReport(lagger *Domain, success bool, idx int, actual am
 		if err != nil {
 			return false, 0, amba.PartialState{}, fmt.Errorf("core: report: %w", err)
 		}
-		ok, i, act, err := unpackReport(repPkt, lagger.LocalIRQMask())
+		ok, i, act, err := unpackReport(repPkt, lagger.Static())
 		e.tr.Release(repPkt)
 		return ok, i, act, err
 	}
@@ -1162,12 +1189,25 @@ func (e *Engine) step(cycles int64) error {
 		// idle stretch in one batched step.
 		return e.batchConservative(cycles, decl)
 	}
-	n, err := e.transition(leader, cycles-e.stats.Committed)
+	w, rollbacks := e.window[leader.ID()], e.stats.Rollbacks
+	n, err := e.transition(leader, min(cycles-e.stats.Committed, w))
 	if err != nil {
 		return err
 	}
+	if e.stats.Rollbacks == rollbacks {
+		// Every prediction held, whether the transition ended at the
+		// window, a full LOB or a decline.
+		e.window[leader.ID()] = min(2*w, e.lob.MaxCycles())
+	}
 	e.transLen.Add(int(n))
 	return nil
+}
+
+// narrowWindow shrinks a leader's run-ahead window after a rollback at
+// check index i: to three quarters, but never below twice the span that
+// held (and never above what the LOB can carry).
+func (e *Engine) narrowWindow(id DomainID, i int) {
+	e.window[id] = min(e.lob.MaxCycles(), max(2*int64(i+1), e.window[id]*3/4))
 }
 
 // Run executes the co-emulation for the given number of target cycles

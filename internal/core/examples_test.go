@@ -97,12 +97,59 @@ func TestPredictIntoIsPure(t *testing.T) {
 	}
 }
 
+// coverBeats returns, per master, the beats its generator needs to
+// address every window of the spec once: the traffic after which a
+// memory slave stops touching pages for the first time (ip.Memory
+// allocates each 4 KiB page lazily). A sequential generator covers its
+// windows in exactly that many beats; random traffic draws as many.
+func coverBeats(t *testing.T, name string) map[string]int64 {
+	t.Helper()
+	s, err := spec.Load(filepath.Join("..", "..", "examples", name, "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	beats := make(map[string]int64)
+	for _, m := range s.Design.Masters {
+		g := m.Generator
+		wins := append([]spec.Window(nil), g.Windows...)
+		for _, w := range []*spec.Window{g.Window, g.Src, g.Dst} {
+			if w != nil {
+				wins = append(wins, *w)
+			}
+		}
+		beatBytes := int64(4)
+		if g.Bits != 0 {
+			beatBytes = int64(g.Bits / 8)
+		}
+		for _, w := range wins {
+			beats[m.Name] += int64(w.Hi-w.Lo) / beatBytes
+		}
+	}
+	return beats
+}
+
+// uncovered names the masters of e that have not yet completed their
+// cover beats, with their progress; it is empty once all have.
+func uncovered(e *core.Engine, beats map[string]int64) []string {
+	var left []string
+	for id := core.SimDomain; id <= core.AccDomain; id++ {
+		for _, m := range e.Domain(id).Masters() {
+			if done, _, _ := m.Stats(); done < beats[m.Name()] {
+				left = append(left, fmt.Sprintf("%s (%d of %d beats)", m.Name(), done, beats[m.Name()]))
+			}
+		}
+	}
+	return left
+}
+
 // TestExampleStepsAllocFree extends the engine's zero-alloc guards
 // (alloc_test.go) to every example spec in every mode: arbitration
 // among several masters, randomized and copying generators, interrupt
 // peripherals, SPLIT slaves and organic rollbacks. Once warm, a step
 // of the cycle loop — the once-per-transition store of every
-// component included — must not allocate.
+// component included — must not allocate. Warm means that every
+// master's traffic has covered its windows, so memory pages are no
+// longer allocated on first touch.
 func TestExampleStepsAllocFree(t *testing.T) {
 	const cycles = 1 << 30
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "spec.json"))
@@ -117,6 +164,7 @@ func TestExampleStepsAllocFree(t *testing.T) {
 		for _, mode := range []core.Mode{core.Auto, core.ALS, core.SLA, core.Conservative} {
 			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
 				e := exampleEngine(t, name, mode)
+				beats := coverBeats(t, name)
 				// AllocsPerRun rounds down to whole objects per run, so
 				// each run covers 100 steps: a store that allocates on
 				// only some of them still shows.
@@ -127,7 +175,19 @@ func TestExampleStepsAllocFree(t *testing.T) {
 						}
 					}
 				}
-				for i := 0; i < 30; i++ {
+				// Every step commits at least one cycle and a master
+				// completes at most one beat per cycle; the examples
+				// cover their beats within 7 steps per beat (conservative
+				// multimaster, where three masters share the bus), so 16
+				// is a stall, not a slow warm-up.
+				var total int64
+				for _, b := range beats {
+					total += b
+				}
+				for i := 0; i < 30 || len(uncovered(e, beats)) > 0; i++ {
+					if int64(i)*100 > 16*total {
+						t.Fatalf("%d steps did not cover the spec's windows; unfinished: %v", i*100, uncovered(e, beats))
+					}
 					steps()
 				}
 				if allocs := testing.AllocsPerRun(20, steps); allocs != 0 {

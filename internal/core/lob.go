@@ -20,29 +20,6 @@ type Entry struct {
 	Out     amba.PartialState
 	Pred    amba.PartialState
 	HasPred bool
-
-	// words memoizes Words (0 = not yet computed; a packed state is
-	// never empty). Words is consulted several times per run-ahead
-	// cycle — the repeated PackedWords walks showed in profiles.
-	words uint8
-}
-
-// Words returns the wire size of the entry in 32-bit words.
-func (e *Entry) Words() int {
-	if e.words == 0 {
-		n := e.Out.PackedWords()
-		if e.HasPred {
-			n += e.Pred.PackedWords()
-		}
-		e.words = uint8(n)
-	}
-	return int(e.words)
-}
-
-// sameEntry compares the wire-visible content of two entries, ignoring
-// the size memo (which may be computed on one side only).
-func sameEntry(a, b *Entry) bool {
-	return a.HasPred == b.HasPred && a.Out == b.Out && a.Pred == b.Pred
 }
 
 // LOB is the Leader Output Buffer: during the run-ahead step the leader
@@ -78,14 +55,35 @@ func (l *LOB) Len() int { return len(l.entries) }
 // Words returns the current payload size in words, including framing.
 func (l *LOB) Words() int { return l.words + 1 }
 
-// Fits reports whether an additional entry would still fit.
-func (l *LOB) Fits(e *Entry) bool { return l.Words()+e.Words() <= l.depth }
+// EntryWords returns the wire size of e pushed next: its output packed
+// after the last entry's output, its prediction after the last entry's
+// prediction (amba.PartialState.PackedWordsAfter). The first entry of a
+// flush packs without context.
+func (l *LOB) EntryWords(e *Entry) int {
+	var prevOut, prevPred *amba.PartialState
+	if n := len(l.entries); n > 0 {
+		prevOut, prevPred = &l.entries[n-1].Out, &l.entries[n-1].Pred
+	}
+	w := e.Out.PackedWordsAfter(prevOut)
+	if e.HasPred {
+		w += e.Pred.PackedWordsAfter(prevPred)
+	}
+	return w
+}
+
+// MaxCycles returns the most cycles one transition can deposit: the
+// run-ahead keeps maxPartialWords free for the final entry, and every
+// entry before it carries two packed records of at least one header
+// word each.
+func (l *LOB) MaxCycles() int64 { return int64((l.depth-1-maxPartialWords)/2 + 1) }
 
 // Push appends an entry (by value; the pointer only avoids an argument
-// copy). Pushing past capacity panics: the leader must check Fits
-// first — overflow is a channel-wrapper bug, not a condition to absorb.
-func (l *LOB) Push(e *Entry) {
-	w := e.Words()
+// copy) of size w, which the caller took from EntryWords for this same
+// push: the run-ahead loop sizes every entry for its stop test first,
+// and the sizing showed in profiles. Pushing past capacity panics: the
+// leader must check the size first — overflow is a channel-wrapper bug,
+// not a condition to absorb.
+func (l *LOB) Push(e *Entry, w int) {
 	after := l.words + 1 + w // Words() once the entry is in
 	if after > l.depth {
 		panic(fmt.Sprintf("core: LOB overflow (%d+%d > %d words)", l.words+1, w, l.depth))

@@ -9,13 +9,16 @@ import (
 // Wire formats for the three packet kinds the channel wrappers exchange.
 //
 // Conservative exchange packets carry a single PartialState (amba's wire
-// encoding). Flush packets carry the whole LOB: a count word followed by
-// count entries, where every entry but the last is an (out, pred) pair
-// and the last is a bare out — the prediction presence is implied by
-// position, so no per-entry marker words are spent. Report packets carry
-// a status word (reportSuccess or the zero-based index of the failed
+// encoding, no context). Flush packets carry the whole LOB: a count word
+// followed by count entries, where every entry but the last is an (out,
+// pred) pair and the last is a bare out — the prediction presence is
+// implied by position, so no per-entry marker words are spent. Each out
+// is packed after the previous entry's out and each pred after the
+// previous pred (amba.PartialState.PackAfter), so a burst continuation
+// or a held reply costs its header word alone. Report packets carry a
+// status word (reportSuccess or the zero-based index of the failed
 // prediction) followed by the lagger's actual contribution for the
-// reported cycle.
+// reported cycle, with no context.
 
 // reportSuccess is the status word of a successful follow-up report.
 const reportSuccess = ^amba.Word(0)
@@ -24,24 +27,27 @@ const reportSuccess = ^amba.Word(0)
 // extended slice (pass nil to allocate; the engine passes its scratch).
 func packFlush(dst []amba.Word, entries []Entry) []amba.Word {
 	out := append(dst, amba.Word(len(entries)))
-	for i, e := range entries {
+	var prevOut, prevPred *amba.PartialState
+	for i := range entries {
+		e := &entries[i]
 		if e.HasPred != (i < len(entries)-1) {
 			panic(fmt.Sprintf("core: flush entry %d/%d has unexpected prediction presence", i, len(entries)))
 		}
-		out = e.Out.Pack(out)
+		out = e.Out.PackAfter(out, prevOut)
 		if e.HasPred {
-			out = e.Pred.Pack(out)
+			out = e.Pred.PackAfter(out, prevPred)
 		}
+		prevOut, prevPred = &e.Out, &e.Pred
 	}
 	return out
 }
 
 // unpackFlush decodes a flush packet, appending the entries to dst
-// (pass nil to allocate; the engine passes its scratch). irqMask is the
-// IRQ ownership of the sending (leader) domain for its outs; predMask
-// is the lagger-side ownership for the predictions (a prediction
+// (pass nil to allocate; the engine passes its scratch). outStatic is the
+// static configuration of the sending (leader) domain for its outs;
+// predStatic is the lagger's, for the predictions (a prediction
 // describes the lagger's own contribution).
-func unpackFlush(dst []Entry, pkt []amba.Word, outIRQMask, predIRQMask uint32) ([]Entry, error) {
+func unpackFlush(dst []Entry, pkt []amba.Word, outStatic, predStatic amba.Static) ([]Entry, error) {
 	if len(pkt) == 0 {
 		return nil, fmt.Errorf("core: empty flush packet")
 	}
@@ -54,13 +60,18 @@ func unpackFlush(dst []Entry, pkt []amba.Word, outIRQMask, predIRQMask uint32) (
 	var err error
 	for i := 0; i < n; i++ {
 		var e Entry
-		e.Out, rest, err = amba.Unpack(rest, outIRQMask)
+		var prevOut, prevPred *amba.PartialState
+		if i > 0 {
+			last := &entries[len(entries)-1]
+			prevOut, prevPred = &last.Out, &last.Pred
+		}
+		e.Out, rest, err = amba.UnpackAfter(rest, prevOut, outStatic)
 		if err != nil {
 			return nil, fmt.Errorf("core: flush entry %d out: %w", i, err)
 		}
 		if i < n-1 {
 			e.HasPred = true
-			e.Pred, rest, err = amba.Unpack(rest, predIRQMask)
+			e.Pred, rest, err = amba.UnpackAfter(rest, prevPred, predStatic)
 			if err != nil {
 				return nil, fmt.Errorf("core: flush entry %d pred: %w", i, err)
 			}
@@ -87,12 +98,12 @@ func packReport(dst []amba.Word, success bool, idx int, actual amba.PartialState
 }
 
 // unpackReport decodes a report packet.
-func unpackReport(pkt []amba.Word, irqMask uint32) (success bool, idx int, actual amba.PartialState, err error) {
+func unpackReport(pkt []amba.Word, s amba.Static) (success bool, idx int, actual amba.PartialState, err error) {
 	if len(pkt) == 0 {
 		return false, 0, amba.PartialState{}, fmt.Errorf("core: empty report packet")
 	}
 	status := pkt[0]
-	actual, rest, err := amba.Unpack(pkt[1:], irqMask)
+	actual, rest, err := amba.Unpack(pkt[1:], s)
 	if err != nil {
 		return false, 0, amba.PartialState{}, fmt.Errorf("core: report payload: %w", err)
 	}
